@@ -29,11 +29,9 @@ from .martingales import (FiniteConfiguration, LatticeSpec,
                           lattice_martingale, martingale_coefficients,
                           martingale_polynomial, site_martingale,
                           site_martingale_row, vandermonde)
-from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkEnsemble,
-                         WalkPath, absorbed_weight_mean, empirical_correlation,
-                         estimate_many, exit_time, h_transform_estimator,
-                         martingale_determinant_estimator, sample_ensemble,
-                         sample_walk, vandermonde_ratio)
+from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
+                         absorbed_weight_mean, empirical_correlation,
+                         estimate_many, vandermonde_ratio)
 from .relaxation import (RelaxationReport, aliasing_remainder, principal_term,
                          relaxation_gap, relaxation_sweep,
                          remainder_damping_max)
@@ -58,10 +56,9 @@ __all__ = [
     "lattice_basis", "lattice_martingale", "martingale_coefficients",
     "martingale_polynomial", "site_martingale", "site_martingale_row",
     "vandermonde",
-    "EstimatorResult", "OccupationProduct", "One", "WalkEnsemble", "WalkPath",
+    "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
     "absorbed_weight_mean", "empirical_correlation", "estimate_many",
-    "exit_time", "h_transform_estimator", "martingale_determinant_estimator",
-    "sample_ensemble", "sample_walk", "vandermonde_ratio",
+    "vandermonde_ratio",
     "RelaxationReport", "aliasing_remainder", "principal_term",
     "relaxation_gap", "relaxation_sweep", "remainder_damping_max",
     "__version__",

@@ -238,8 +238,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     if pts.max_time > args.T:
         raise ValueError(f"--at time {pts.max_time} beyond --T {args.T}")
     result = estimate_many(config, [OccupationProduct(pts)], args.T,
-                           args.samples, cfg.seed, args.estimator,
-                           threads=cfg.threads)[0]
+                           args.samples, cfg.seed, args.estimator)[0]
     analytic = correlation_function(KernelSpec(config), pts,
                                     **_spec_opts(cfg))
     z = (result.mean - analytic) / result.std_error \
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="quadrature tolerance (default 1e-13)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (default 1)")
+                        help="worker threads for relaxation sweeps (default 1)")
     common.add_argument("--seed", type=int, default=None,
                         help="base seed for sampling (default 0)")
     common.add_argument("--output", choices=("csv", "json"), default=None,
@@ -381,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose values may start with '-' (ranges, point lists); argparse
-# would read such a value as a flag unless it is fused with '='.
-_FUSE_VALUE_FLAGS = ("--window", "--grid", "--point", "--at", "--tau")
+# options whose values may start with '-' (ranges, point lists, site lists);
+# argparse would read such a value as a flag unless it is fused with '='.
+_FUSE_VALUE_FLAGS = ("--window", "--grid", "--point", "--at", "--tau",
+                     "--config")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:

@@ -5,23 +5,24 @@ through plain independent walks started from the same configuration:
 
 * h-transform: weight surviving paths (no ordering violation up to the
   horizon T) by the Vandermonde ratio h(V(T))/h(u);
-* martingale determinant: weight *all* paths by det of the site
-  martingales at T - signed weights, no conditioning.
+* martingale determinant: weight *all* paths by det of the site martingales
+  at T - signed weights, no conditioning.
 
 Both give unbiased estimates of the same quantities and must agree with
 each other and with the kernel determinants within statistical error.
 
-Sampling is reproducible by construction: sample i draws from its own
-generator seeded by (seed, i), and reductions run in sample order, so
-results are bit-identical however the work is scheduled.
+Samples are drawn in blocks of ``BLOCK_SIZE``: block b holds samples
+b*BLOCK_SIZE onwards and draws from its own generator seeded by
+(seed, b); block sums are reduced in block order.  Results are therefore
+bit-identical for a given seed and sample count however the work is
+scheduled, and memory stays O(BLOCK_SIZE) whatever the sample count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -29,116 +30,106 @@ from .correlations import (CorrelationEntry, CorrelationTable,
                            MultiTimePointSet)
 from .martingales import FiniteConfiguration, site_martingale_row
 
-
-@dataclass(frozen=True)
-class WalkPath:
-    """One continuous-time +-1 walk: jump times in (0, horizon] and steps."""
-
-    start: int
-    horizon: float
-    jump_times: np.ndarray
-    steps: np.ndarray
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        st = np.asarray(self.steps, dtype=np.int64)
-        if jt.shape != st.shape:
-            raise ValueError("jump_times and steps must have equal length")
-        if jt.size and (jt[0] <= 0.0 or jt[-1] > self.horizon
-                        or np.any(np.diff(jt) <= 0.0)):
-            raise ValueError("jump times must increase strictly within (0, horizon]")
-        if st.size and not np.all(np.abs(st) == 1):
-            raise ValueError("steps must be +-1")
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "steps", st)
-        object.__setattr__(self, "_cum", np.cumsum(st))
-
-    def position(self, t: float) -> int:
-        """Right-continuous position at time t <= horizon."""
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"query time {t} outside [0, {self.horizon}]")
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return self.start + (int(self._cum[idx - 1]) if idx else 0)
+BLOCK_SIZE = 2048
 
 
-@dataclass(frozen=True)
-class WalkEnsemble:
-    """Independent walks labeled by the (strictly increasing) start sites."""
+@dataclass(frozen=True, eq=False)
+class WalkBlock:
+    """``n`` samples of independent continuous-time +-1 walks, one walk per
+    configuration site, with every jump stored flat.
+
+    Jump k moves walk ``owner[k] % N`` of sample ``owner[k] // N`` by
+    ``steps[k]`` at ``times[k]`` in (0, horizon].  ``owner`` is sorted;
+    jump times within one walk are in draw order, not time order.
+    """
 
     config: FiniteConfiguration
-    paths: tuple[WalkPath, ...]
+    horizon: float
+    n: int
+    owner: np.ndarray
+    times: np.ndarray
+    steps: np.ndarray
 
-    def __post_init__(self):
-        if len(self.paths) != len(self.config):
-            raise ValueError("one path per configuration site required")
-        horizons = {p.horizon for p in self.paths}
-        if len(horizons) != 1:
-            raise ValueError(f"paths carry mismatched horizons {horizons}")
-        for p, u in zip(self.paths, self.config.sites):
-            if p.start != u:
-                raise ValueError("path starts must match the configuration")
+    @classmethod
+    def sample(cls, config: FiniteConfiguration, horizon: float, n: int,
+               rng: np.random.Generator) -> "WalkBlock":
+        """Unit-rate Poisson jump counts, uniform jump times, i.i.d. steps."""
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        n_walks = len(config)
+        counts = rng.poisson(horizon, size=(n, n_walks))
+        owner = np.repeat(np.arange(n * n_walks), counts.ravel())
+        times = horizon * (1.0 - rng.random(owner.size))
+        steps = 2 * rng.integers(0, 2, size=owner.size) - 1
+        return cls(config, float(horizon), n, owner, times, steps)
 
-    @property
-    def horizon(self) -> float:
-        return self.paths[0].horizon
+    @classmethod
+    def sweep(cls, config: FiniteConfiguration, horizon: float,
+              n_samples: int, seed: int) -> Iterator["WalkBlock"]:
+        """The blocks of ``n_samples`` samples for ``seed``, in order."""
+        for b, lo in enumerate(range(0, n_samples, BLOCK_SIZE)):
+            rng = np.random.default_rng((int(seed), b))
+            yield cls.sample(config, horizon,
+                             min(BLOCK_SIZE, n_samples - lo), rng)
 
     def positions(self, t: float) -> np.ndarray:
-        return np.array([p.position(t) for p in self.paths])
+        """Right-continuous walk positions at time t, shape (n, N)."""
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"query time {t} outside [0, {self.horizon}]")
+        steps = self.steps if t == self.horizon else \
+            np.where(self.times <= t, self.steps, 0)
+        n_walks = len(self.config)
+        moved = np.bincount(self.owner, weights=steps,
+                            minlength=self.n * n_walks)
+        return (np.asarray(self.config.sites, dtype=np.int64)
+                + moved.astype(np.int64).reshape(self.n, n_walks))
+
+    def exit_times(self) -> np.ndarray:
+        """Per sample, the first jump time at which the strict ordering
+        fails; inf if none.
+
+        With +-1 steps from a strictly ordered start the first violation
+        is a zero of a neighbour gap.  Jumps are taken in (time, walk)
+        order within each sample; each jump of walk i moves gap i - 1 by
+        +step and gap i by -step, and each gap is a cumulative sum of its
+        own moves.
+        """
+        n_walks = len(self.config)
+        exits = np.full(self.n, math.inf)
+        if n_walks == 1 or self.owner.size == 0:
+            return exits
+        sample, walk = np.divmod(self.owner, n_walks)
+        order = np.lexsort((walk, self.times, sample))
+        sample, walk, steps = sample[order], walk[order], self.steps[order]
+        jump = np.arange(order.size)
+        left, right = walk > 0, walk < n_walks - 1
+        rank = np.concatenate((jump[left], jump[right]))
+        gap = np.concatenate((walk[left] - 1, walk[right]))
+        move = np.concatenate((steps[left], -steps[right]))
+        key = sample[rank] * (n_walks - 1) + gap
+        by_gap = np.argsort(key * order.size + rank)
+        key, rank, move = key[by_gap], rank[by_gap], move[by_gap]
+        total = np.cumsum(move)
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        before = np.repeat(total[first] - move[first],
+                           np.diff(np.r_[first, key.size]))
+        start_gaps = np.diff(np.asarray(self.config.sites, dtype=np.int64))
+        hit = np.sort(rank[start_gaps[gap[by_gap]] + total - before == 0])
+        hit_sample = sample[hit]
+        earliest = np.diff(hit_sample, prepend=-1) != 0
+        exits[hit_sample[earliest]] = self.times[order][hit[earliest]]
+        return exits
 
 
-def sample_walk(start: int, horizon: float, rng: np.random.Generator) -> WalkPath:
-    """Unit-rate Poisson jump times on (0, horizon], i.i.d. +-1 steps."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    n = int(rng.poisson(horizon)) if horizon > 0 else 0
-    times = np.sort(horizon * (1.0 - rng.random(n)))
-    steps = 2 * rng.integers(0, 2, size=n) - 1
-    return WalkPath(int(start), float(horizon), times, steps)
-
-
-def sample_ensemble(config: FiniteConfiguration, horizon: float,
-                    rng: np.random.Generator) -> WalkEnsemble:
-    return WalkEnsemble(config, tuple(sample_walk(u, horizon, rng)
-                                      for u in config.sites))
-
-
-def exit_time(ensemble: WalkEnsemble) -> float:
-    """First jump time at which the strict ordering fails; inf if none.
-
-    The ordering can only change at jump instants, and with +-1 steps from
-    a strictly ordered integer start the first violation is an equality of
-    neighbors.  Simultaneous jumps have probability zero; if float ties
-    occur they are processed in walk-index order.
-    """
-    paths = ensemble.paths
-    n_walks = len(paths)
-    if n_walks == 1:
-        return math.inf
-    pos = np.array(ensemble.config.sites, dtype=np.int64)
-    times = np.concatenate([p.jump_times for p in paths])
-    if times.size == 0:
-        return math.inf
-    walk = np.concatenate([np.full(p.jump_times.size, i, dtype=np.int64)
-                           for i, p in enumerate(paths)])
-    steps = np.concatenate([p.steps for p in paths])
-    order = np.lexsort((walk, times))
-    for idx in order:
-        i = walk[idx]
-        pos[i] += steps[idx]
-        if (i > 0 and pos[i] <= pos[i - 1]) or \
-           (i < n_walks - 1 and pos[i] >= pos[i + 1]):
-            return float(times[idx])
-    return math.inf
-
-
-def vandermonde_ratio(v: Sequence[float], u: Sequence[float]) -> float:
-    """h(v)/h(u) as a product of pairwise ratios."""
-    if len(v) != len(u):
+def vandermonde_ratio(v, u: Sequence[float]) -> np.ndarray:
+    """h(v)/h(u) as a product of pairwise ratios, over the last axis of v."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1] != len(u):
         raise ValueError("length mismatch")
-    total = 1.0
-    for j in range(len(v)):
-        for k in range(j + 1, len(v)):
-            total *= (v[k] - v[j]) / (u[k] - u[j])
+    total = np.ones(v.shape[:-1])
+    for j in range(len(u)):
+        for k in range(j + 1, len(u)):
+            total *= (v[..., k] - v[..., j]) / (u[k] - u[j])
     return total
 
 
@@ -150,14 +141,15 @@ class PathFunctional(Protocol):
     """Bounded functional of the unlabeled configuration path.
 
     ``times`` lists the query times; ``evaluate`` receives the walk
-    positions at each of them.  Restricting to this structure keeps the
-    two estimators consuming exactly the same observable.
+    positions of a block of samples, shape (B, N), at each of them and at
+    the horizon, and returns the B values.  Restricting to this structure
+    keeps the two estimators consuming exactly the same observable.
     """
 
     @property
     def times(self) -> tuple[float, ...]: ...
 
-    def evaluate(self, positions: dict[float, np.ndarray]) -> float: ...
+    def evaluate(self, positions: dict[float, np.ndarray]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -168,8 +160,8 @@ class One:
     def times(self) -> tuple[float, ...]:
         return ()
 
-    def evaluate(self, positions) -> float:
-        return 1.0
+    def evaluate(self, positions) -> np.ndarray:
+        return np.ones(len(next(iter(positions.values()))))
 
 
 @dataclass(frozen=True)
@@ -182,12 +174,13 @@ class OccupationProduct:
     def times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.points.groups)
 
-    def evaluate(self, positions) -> float:
+    def evaluate(self, positions) -> np.ndarray:
+        hit = np.ones(len(next(iter(positions.values()))), dtype=bool)
         for t, sites in self.points.groups:
             occupied = positions[t]
-            if not all(s in occupied for s in sites):
-                return 0.0
-        return 1.0
+            for s in sites:
+                hit &= (occupied == s).any(axis=1)
+        return hit.astype(float)
 
 
 @dataclass(frozen=True)
@@ -198,45 +191,63 @@ class EstimatorResult:
     effective_samples: float
 
 
-@lru_cache(maxsize=200_000)
-def _martingale_row_cached(config: FiniteConfiguration, t: float,
-                           y: int) -> np.ndarray:
-    row = site_martingale_row(config, t, y)
-    row.setflags(write=False)
-    return row
+class _Moments:
+    """Block-by-block compensated sums of v and v^2."""
+
+    def __init__(self):
+        self.s1 = 0.0
+        self.s2 = 0.0
+
+    def add(self, v: np.ndarray) -> None:
+        self.s1 = math.fsum((self.s1, math.fsum(v)))
+        self.s2 = math.fsum((self.s2, math.fsum(v * v)))
+
+    def result(self, n: int, effective_samples: float) -> EstimatorResult:
+        mean = self.s1 / n
+        se = math.sqrt(max(self.s2 - self.s1 * mean, 0.0) / (n - 1) / n) \
+            if n > 1 else math.inf
+        return EstimatorResult(mean, se, n, effective_samples)
 
 
 def _determinant_weight(config: FiniteConfiguration, t: float,
-                        positions: np.ndarray) -> float:
-    rows = np.stack([_martingale_row_cached(config, t, int(y))
-                     for y in positions])
-    if rows.shape[0] == 1:
-        return float(rows[0, 0])
-    if rows.shape[0] == 2:
-        return float(rows[0, 0] * rows[1, 1] - rows[0, 1] * rows[1, 0])
-    return float(np.linalg.det(rows))
+                        positions: np.ndarray,
+                        rows: dict[int, np.ndarray]) -> np.ndarray:
+    """det of the site-martingale rows at the final sites, per sample.
+
+    ``rows`` memoizes the row of each final site over one sweep."""
+    sites = np.unique(positions)
+    for y in sites.tolist():
+        if y not in rows:
+            rows[y] = site_martingale_row(config, t, y)
+    m = np.stack([rows[y] for y in sites.tolist()])[
+        np.searchsorted(sites, positions)]
+    if m.shape[1] == 1:
+        return m[:, 0, 0]
+    if m.shape[1] == 2:
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    return np.linalg.det(m)
+
+
+def _validate(n_samples: int, seed: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"need n_samples >= 1, got {n_samples}")
+    if seed < 0 or seed != int(seed):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def estimate_many(config: FiniteConfiguration,
                   functionals: Sequence[PathFunctional], T: float,
-                  n_samples: int, seed: int, estimator: str = "h", *,
-                  threads: int = 1) -> list[EstimatorResult]:
+                  n_samples: int, seed: int,
+                  estimator: str = "h") -> list[EstimatorResult]:
     """Estimate several functionals from one shared sample sweep.
 
     ``estimator="h"``: conditioned-path weight 1(no collision up to T) *
     h(V(T))/h(u).  ``estimator="dmr"``: determinant of site martingales at
     T over unconditioned paths (signed weights).
-
-    Per-sample values land in arrays indexed by the sample and are reduced
-    by compensated summation afterwards, so the result does not depend on
-    ``threads``.
     """
     if estimator not in ("h", "dmr"):
         raise ValueError(f"estimator must be 'h' or 'dmr', got {estimator!r}")
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
-    if seed < 0 or seed != int(seed):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    _validate(n_samples, seed)
     T = float(T)
     query_times = sorted({t for f in functionals for t in f.times})
     if query_times and query_times[-1] > T:
@@ -244,61 +255,23 @@ def estimate_many(config: FiniteConfiguration,
     if query_times and query_times[0] < 0:
         raise ValueError("functional times must be >= 0")
     u = config.sites
-    vals = np.empty((len(functionals), n_samples))
-    weights = np.empty(n_samples)
-
-    def run_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = np.random.default_rng((int(seed), i))
-            ens = sample_ensemble(config, T, rng)
-            if estimator == "h":
-                w = 0.0 if exit_time(ens) <= T else \
-                    float(vandermonde_ratio(ens.positions(T), u))
-            else:
-                w = _determinant_weight(config, T, ens.positions(T))
-            weights[i] = w
-            if w == 0.0:
-                vals[:, i] = 0.0
-            else:
-                positions = {t: ens.positions(t) for t in query_times}
-                for k, f in enumerate(functionals):
-                    vals[k, i] = f.evaluate(positions) * w
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        chunk = 2048
-        bounds = [(lo, min(lo + chunk, n_samples))
-                  for lo in range(0, n_samples, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_range(*b), bounds))
-    else:
-        run_range(0, n_samples)
-
-    w_sq = math.fsum(float(w) * float(w) for w in weights)
-    w_abs = math.fsum(abs(float(w)) for w in weights)
-    ess = float(w_abs * w_abs / w_sq) if w_sq > 0 else 0.0
-    out = []
-    for k in range(len(functionals)):
-        mean = math.fsum(vals[k]) / n_samples
-        se = float(np.std(vals[k], ddof=1)) / math.sqrt(n_samples) \
-            if n_samples > 1 else math.inf
-        out.append(EstimatorResult(mean, se, n_samples, ess))
-    return out
-
-
-def h_transform_estimator(config: FiniteConfiguration,
-                          functional: PathFunctional, T: float,
-                          n_samples: int, seed: int) -> EstimatorResult:
-    """Conditioned-path estimator: E[F * 1(no collision <= T) h(V(T))/h(u)]."""
-    return estimate_many(config, [functional], T, n_samples, seed, "h")[0]
-
-
-def martingale_determinant_estimator(config: FiniteConfiguration,
-                                     functional: PathFunctional, T: float,
-                                     n_samples: int,
-                                     seed: int) -> EstimatorResult:
-    """Unconditioned estimator weighted by det of the site martingales."""
-    return estimate_many(config, [functional], T, n_samples, seed, "dmr")[0]
+    moments = [_Moments() for _ in functionals]
+    weights = _Moments()
+    rows: dict[int, np.ndarray] = {}
+    for block in WalkBlock.sweep(config, T, n_samples, seed):
+        final = block.positions(T)
+        if estimator == "h":
+            w = np.where(block.exit_times() <= T, 0.0,
+                         vandermonde_ratio(final, u))
+        else:
+            w = _determinant_weight(config, T, final, rows)
+        weights.add(np.abs(w))
+        positions = {t: final if t == T else block.positions(t)
+                     for t in (*query_times, T)}
+        for m, f in zip(moments, functionals):
+            m.add(f.evaluate(positions) * w)
+    ess = weights.s1 ** 2 / weights.s2 if weights.s2 > 0 else 0.0
+    return [m.result(n_samples, ess) for m in moments]
 
 
 def absorbed_weight_mean(config: FiniteConfiguration, T: float,
@@ -309,36 +282,27 @@ def absorbed_weight_mean(config: FiniteConfiguration, T: float,
     term exactly, which is what makes the unconditioned determinant
     estimator equal the conditioned one.
     """
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
-    u = config.sites
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        rng = np.random.default_rng((int(seed), i))
-        ens = sample_ensemble(config, float(T), rng)
-        if exit_time(ens) <= T:
-            vals[i] = vandermonde_ratio(ens.positions(float(T)), u)
-        else:
-            vals[i] = 0.0
-    mean = math.fsum(vals) / n_samples
-    se = float(np.std(vals, ddof=1)) / math.sqrt(n_samples) \
-        if n_samples > 1 else math.inf
-    return EstimatorResult(mean, se, n_samples, float(n_samples))
+    _validate(n_samples, seed)
+    T = float(T)
+    moments = _Moments()
+    for block in WalkBlock.sweep(config, T, n_samples, seed):
+        moments.add(np.where(block.exit_times() <= T,
+                             vandermonde_ratio(block.positions(T),
+                                               config.sites), 0.0))
+    return moments.result(n_samples, float(n_samples))
 
 
 def empirical_correlation(config: FiniteConfiguration,
                           point_sets: Sequence[MultiTimePointSet] | MultiTimePointSet,
                           estimator: str, n_samples: int, seed: int, *,
-                          T: float | None = None,
-                          threads: int = 1) -> CorrelationTable:
+                          T: float | None = None) -> CorrelationTable:
     """Correlation estimates (occupation products) with standard errors."""
     if isinstance(point_sets, MultiTimePointSet):
         point_sets = [point_sets]
     if T is None:
         T = max(p.max_time for p in point_sets)
     functionals = [OccupationProduct(p) for p in point_sets]
-    results = estimate_many(config, functionals, T, n_samples, seed, estimator,
-                            threads=threads)
+    results = estimate_many(config, functionals, T, n_samples, seed, estimator)
     entries = tuple(CorrelationEntry(p, r.mean, r.std_error)
                     for p, r in zip(point_sets, results))
     return CorrelationTable(entries)

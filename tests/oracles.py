@@ -1,15 +1,20 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the package's evaluation strategies: direct
-series summation with compensated accumulation for the Bessel values, and
-a jump-chain level simulation for exit probabilities.
+series summation with compensated accumulation for the Bessel values, a
+jump-chain level simulation for exit probabilities, and per-sample walk
+paths with a jump-by-jump exit-time loop as the reference for the block
+sampler.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from ncrw.martingales import FiniteConfiguration
 
 
 def bessel_series(n: int, z: float) -> float:
@@ -80,3 +85,121 @@ def survival_probability_jump_chain(u: tuple[int, ...], horizon: float,
         hits += alive
     p = hits / n_samples
     return p, math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
+
+
+# ---------------------------------------------------------------------------
+# per-sample walk paths: the reference for ncrw.montecarlo.WalkBlock
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WalkPath:
+    """One continuous-time +-1 walk: jump times in (0, horizon] and steps."""
+
+    start: int
+    horizon: float
+    jump_times: np.ndarray
+    steps: np.ndarray
+
+    def __post_init__(self):
+        jt = np.asarray(self.jump_times, dtype=float)
+        st = np.asarray(self.steps, dtype=np.int64)
+        if jt.shape != st.shape:
+            raise ValueError("jump_times and steps must have equal length")
+        if jt.size and (jt[0] <= 0.0 or jt[-1] > self.horizon
+                        or np.any(np.diff(jt) <= 0.0)):
+            raise ValueError("jump times must increase strictly within (0, horizon]")
+        if st.size and not np.all(np.abs(st) == 1):
+            raise ValueError("steps must be +-1")
+        object.__setattr__(self, "jump_times", jt)
+        object.__setattr__(self, "steps", st)
+        object.__setattr__(self, "_cum", np.cumsum(st))
+
+    def position(self, t: float) -> int:
+        """Right-continuous position at time t <= horizon."""
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"query time {t} outside [0, {self.horizon}]")
+        idx = int(np.searchsorted(self.jump_times, t, side="right"))
+        return self.start + (int(self._cum[idx - 1]) if idx else 0)
+
+
+@dataclass(frozen=True)
+class WalkEnsemble:
+    """Independent walks labeled by the (strictly increasing) start sites."""
+
+    config: FiniteConfiguration
+    paths: tuple[WalkPath, ...]
+
+    def __post_init__(self):
+        if len(self.paths) != len(self.config):
+            raise ValueError("one path per configuration site required")
+        horizons = {p.horizon for p in self.paths}
+        if len(horizons) != 1:
+            raise ValueError(f"paths carry mismatched horizons {horizons}")
+        for p, u in zip(self.paths, self.config.sites):
+            if p.start != u:
+                raise ValueError("path starts must match the configuration")
+
+    def positions(self, t: float) -> np.ndarray:
+        return np.array([p.position(t) for p in self.paths])
+
+
+def sample_walk(start: int, horizon: float, rng: np.random.Generator) -> WalkPath:
+    """Unit-rate Poisson jump times on (0, horizon], i.i.d. +-1 steps."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    n = int(rng.poisson(horizon)) if horizon > 0 else 0
+    times = np.sort(horizon * (1.0 - rng.random(n)))
+    steps = 2 * rng.integers(0, 2, size=n) - 1
+    return WalkPath(int(start), float(horizon), times, steps)
+
+
+def sample_ensemble(config: FiniteConfiguration, horizon: float,
+                    rng: np.random.Generator) -> WalkEnsemble:
+    return WalkEnsemble(config, tuple(sample_walk(u, horizon, rng)
+                                      for u in config.sites))
+
+
+def exit_time(ensemble: WalkEnsemble) -> float:
+    """First jump time at which the strict ordering fails; inf if none.
+
+    The ordering can only change at jump instants, and with +-1 steps from
+    a strictly ordered integer start the first violation is an equality of
+    neighbors.  Simultaneous jumps have probability zero; if float ties
+    occur they are processed in walk-index order.
+    """
+    paths = ensemble.paths
+    n_walks = len(paths)
+    if n_walks == 1:
+        return math.inf
+    pos = np.array(ensemble.config.sites, dtype=np.int64)
+    times = np.concatenate([p.jump_times for p in paths])
+    if times.size == 0:
+        return math.inf
+    walk = np.concatenate([np.full(p.jump_times.size, i, dtype=np.int64)
+                           for i, p in enumerate(paths)])
+    steps = np.concatenate([p.steps for p in paths])
+    order = np.lexsort((walk, times))
+    for idx in order:
+        i = walk[idx]
+        pos[i] += steps[idx]
+        if (i > 0 and pos[i] <= pos[i - 1]) or \
+           (i < n_walks - 1 and pos[i] >= pos[i + 1]):
+            return float(times[idx])
+    return math.inf
+
+
+def ensembles_of_block(block) -> list[WalkEnsemble]:
+    """One per-sample ensemble for each sample of a block, built from the
+    block's own jumps sorted into time order walk by walk."""
+    n_walks = len(block.config)
+    bounds = np.searchsorted(block.owner, np.arange(block.n * n_walks + 1))
+    out = []
+    for b in range(block.n):
+        paths = []
+        for i, u in enumerate(block.config.sites):
+            lo, hi = bounds[b * n_walks + i], bounds[b * n_walks + i + 1]
+            order = np.argsort(block.times[lo:hi])
+            paths.append(WalkPath(u, block.horizon, block.times[lo:hi][order],
+                                  block.steps[lo:hi][order]))
+        out.append(WalkEnsemble(block.config, tuple(paths)))
+    return out

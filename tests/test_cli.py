@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from ncrw.cli import main
+from ncrw.montecarlo import BLOCK_SIZE
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ncrw" / "schemas"
 
@@ -101,6 +102,22 @@ class TestSimulateCommand:
         validate(doc, "simulate.json")
         assert abs(doc["z_score"]) <= 3.0
         assert doc["ess"] >= 100
+
+    def test_negative_first_site_separate_form(self):
+        code, out = run_cli(["simulate", "--config", "-2,0,3", "--T", "1",
+                             "--samples", "10", "--estimator", "h",
+                             "--at", "0.5:0"])
+        assert code == 0
+        assert json.loads(out)["config"] == [-2, 0, 3]
+
+    def test_thread_count_does_not_change_results(self):
+        argv = ["simulate", "--config", "-1,1,4", "--T", "1",
+                "--at", "0.5:1,4", "--estimator", "dmr",
+                "--samples", str(2 * BLOCK_SIZE + 1), "--seed", "5"]
+        code1, out1 = run_cli(argv + ["--threads", "1"])
+        code2, out2 = run_cli(argv + ["--threads", "2"])
+        assert code1 == code2 == 0
+        assert out1 == out2
 
     def test_at_beyond_horizon_usage_error(self):
         code, _ = run_cli(["simulate", "--config", "0,2", "--T", "0.4",

@@ -7,28 +7,35 @@ from ncrw.bessel import transition_probability
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
 from ncrw.martingales import FiniteConfiguration
-from ncrw.montecarlo import (OccupationProduct, One, WalkEnsemble,
-                             WalkPath, absorbed_weight_mean,
-                             empirical_correlation, estimate_many, exit_time,
-                             h_transform_estimator,
-                             martingale_determinant_estimator,
-                             sample_ensemble, sample_walk, vandermonde_ratio)
+from ncrw.montecarlo import (BLOCK_SIZE, OccupationProduct, One, WalkBlock,
+                             absorbed_weight_mean, empirical_correlation,
+                             estimate_many, vandermonde_ratio)
 
-from oracles import survival_probability_jump_chain
+from oracles import (WalkPath, ensembles_of_block, exit_time,
+                     sample_ensemble, survival_probability_jump_chain)
 
 XI = FiniteConfiguration((0, 2))
+ONE_WALK = FiniteConfiguration((0,))
 
 
 def pts(*groups):
     return MultiTimePointSet(tuple(groups))
 
 
+def h_estimate(functional, T, n, seed):
+    return estimate_many(XI, [functional], T, n, seed, "h")[0]
+
+
+def dmr_estimate(functional, T, n, seed):
+    return estimate_many(XI, [functional], T, n, seed, "dmr")[0]
+
+
 class TestWalkPath:
     def test_no_jumps_at_zero_horizon(self):
         rng = np.random.default_rng(0)
-        p = sample_walk(3, 0.0, rng)
-        assert p.jump_times.size == 0
-        assert p.position(0.0) == 3
+        block = WalkBlock.sample(FiniteConfiguration((3,)), 0.0, 5, rng)
+        assert block.times.size == 0
+        assert block.positions(0.0).tolist() == [[3]] * 5
 
     def test_position_right_continuous(self):
         p = WalkPath(0, 2.0, np.array([0.5, 1.5]), np.array([1, -1]))
@@ -50,52 +57,61 @@ class TestWalkPath:
     def test_poisson_jump_count(self):
         t, n = 3.0, 20_000
         rng = np.random.default_rng(42)
-        counts = [sample_walk(0, t, rng).jump_times.size for _ in range(n)]
-        mean = np.mean(counts)
+        block = WalkBlock.sample(ONE_WALK, t, n, rng)
+        mean = np.mean(np.bincount(block.owner, minlength=n))
         assert abs(mean - t) <= 3.0 * math.sqrt(t / n)
 
     def test_empirical_transition_probability(self):
         t, n = 1.0, 20_000
         rng = np.random.default_rng(11)
-        hits = {0: 0, 1: 0, 2: 0}
-        for _ in range(n):
-            d = sample_walk(0, t, rng).position(t)
-            if abs(d) in hits:
-                hits[abs(d)] += 1
-        for d, count in hits.items():
+        dist = np.abs(WalkBlock.sample(ONE_WALK, t, n, rng).positions(t)[:, 0])
+        for d in (0, 1, 2):
+            count = int(np.sum(dist == d))
             # both +-d for d > 0
             p = transition_probability(t, 0, d) * (1 if d == 0 else 2)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(count / n - p) <= 3.5 * se
 
 
+def exit_of_jumps(sites, jumps):
+    """Exit time of one sample given as (walk, time, step) jumps listed by
+    walk; the block sampler and the per-sample oracle must agree on it."""
+    owner, times, steps = (np.array(c) for c in zip(*jumps))
+    block = WalkBlock(FiniteConfiguration(sites), 1.0, 1, owner,
+                      times.astype(float), steps)
+    (ens,) = ensembles_of_block(block)
+    assert block.exit_times()[0] == exit_time(ens)
+    return exit_time(ens)
+
+
 class TestExitTime:
     def test_single_walk_never_exits(self):
         rng = np.random.default_rng(1)
-        ens = sample_ensemble(FiniteConfiguration((5,)), 4.0, rng)
-        assert exit_time(ens) == math.inf
+        config = FiniteConfiguration((5,))
+        assert exit_time(sample_ensemble(config, 4.0, rng)) == math.inf
+        block = WalkBlock.sample(config, 4.0, 100, rng)
+        assert np.all(block.exit_times() == math.inf)
 
     def test_adjacent_first_jump_collides(self):
         # start (0, 1): walker 0 stepping up (or 1 stepping down) collides
-        p0 = WalkPath(0, 1.0, np.array([0.3]), np.array([1]))
-        p1 = WalkPath(1, 1.0, np.array([]), np.array([]))
-        ens = WalkEnsemble(FiniteConfiguration((0, 1)), (p0, p1))
-        assert exit_time(ens) == 0.3
+        assert exit_of_jumps((0, 1), [(0, 0.3, 1)]) == 0.3
+        assert exit_of_jumps((0, 1), [(1, 0.3, -1)]) == 0.3
 
     def test_separating_jump_keeps_order(self):
-        p0 = WalkPath(0, 1.0, np.array([0.3]), np.array([-1]))
-        p1 = WalkPath(1, 1.0, np.array([]), np.array([]))
-        ens = WalkEnsemble(FiniteConfiguration((0, 1)), (p0, p1))
-        assert exit_time(ens) == math.inf
+        assert exit_of_jumps((0, 1), [(0, 0.3, -1)]) == math.inf
+
+    def test_simultaneous_jumps_move_in_walk_order(self):
+        # both step up at 0.5: walker 0 moves first and lands on walker 1
+        assert exit_of_jumps((0, 1), [(0, 0.5, 1), (1, 0.5, 1)]) == 0.5
+        # both step down: walker 0 moves first, away from walker 1
+        assert exit_of_jumps((0, 1), [(0, 0.5, -1), (1, 0.5, -1)]) == math.inf
 
     def test_survival_matches_jump_chain_oracle(self):
         u, horizon = (0, 2), 1.0
         n = 20_000
-        hits = 0
-        for i in range(n):
-            rng = np.random.default_rng((99, i))
-            ens = sample_ensemble(FiniteConfiguration(u), horizon, rng)
-            hits += exit_time(ens) > horizon
+        hits = sum(int(np.sum(block.exit_times() > horizon))
+                   for block in WalkBlock.sweep(FiniteConfiguration(u),
+                                                horizon, n, 99))
         p_pkg = hits / n
         p_oracle, se_oracle = survival_probability_jump_chain(u, horizon,
                                                               20_000, 123)
@@ -103,13 +119,54 @@ class TestExitTime:
         assert abs(p_pkg - p_oracle) <= 3.0 * se
 
 
+class TestBlockMatchesOracle:
+    """The block sampler against per-sample ensembles built from the same
+    jumps: equal exit times, equal positions at T and at query times."""
+
+    @pytest.mark.parametrize("sites, horizon", [
+        ((5,), 2.0),
+        ((0, 1), 1.0),
+        ((0, 2), 0.05),          # most samples have no jumps
+        ((0, 2), 2.0),
+        ((-1, 0, 3), 1.5),
+        ((-4, -2, 0, 1, 4), 1.0),
+        ((0, 1, 2, 3, 4), 0.0),  # no jumps at all
+    ])
+    def test_exit_times_and_positions(self, sites, horizon):
+        config = FiniteConfiguration(sites)
+        block = WalkBlock.sample(config, horizon, 600,
+                                 np.random.default_rng((3, len(sites))))
+        ensembles = ensembles_of_block(block)
+        queries = [0.0, horizon / 3, horizon / 2, horizon]
+        if block.times.size:
+            queries.append(float(block.times[block.times.size // 2]))
+        exits = block.exit_times()
+        for b, ens in enumerate(ensembles):
+            assert exits[b] == exit_time(ens)
+        for t in queries:
+            expected = np.array([ens.positions(t) for ens in ensembles])
+            np.testing.assert_array_equal(block.positions(t), expected)
+        if len(sites) > 1 and horizon > 0.5:
+            assert 0 < np.isfinite(exits).sum() < block.n
+        if horizon == 0.05:
+            assert np.sum(np.bincount(block.owner // len(sites),
+                                      minlength=block.n) == 0) > block.n / 2
+
+    def test_sweep_blocks(self):
+        blocks = list(WalkBlock.sweep(XI, 1.0, 2 * BLOCK_SIZE + 5, 7))
+        assert [b.n for b in blocks] == [BLOCK_SIZE, BLOCK_SIZE, 5]
+        again = WalkBlock.sample(XI, 1.0, BLOCK_SIZE,
+                                 np.random.default_rng((7, 1)))
+        np.testing.assert_array_equal(blocks[1].times, again.times)
+
+
 class TestEstimators:
     def test_h_normalization(self):
-        r = h_transform_estimator(XI, One(), 1.0, 30_000, 7)
+        r = h_estimate(One(), 1.0, 30_000, 7)
         assert abs(r.mean - 1.0) <= 3.0 * r.std_error
 
     def test_dmr_normalization_and_ess(self):
-        r = martingale_determinant_estimator(XI, One(), 1.0, 30_000, 7)
+        r = dmr_estimate(One(), 1.0, 30_000, 7)
         assert abs(r.mean - 1.0) <= 3.0 * r.std_error
         assert r.effective_samples >= 1_000
 
@@ -120,9 +177,8 @@ class TestEstimators:
     def test_estimators_agree_and_match_kernel(self):
         p = pts((0.5, (0,)))
         analytic = correlation_function(KernelSpec(XI), p)
-        rh = h_transform_estimator(XI, OccupationProduct(p), 1.0, 30_000, 3)
-        rd = martingale_determinant_estimator(XI, OccupationProduct(p), 1.0,
-                                              30_000, 3)
+        rh = h_estimate(OccupationProduct(p), 1.0, 30_000, 3)
+        rd = dmr_estimate(OccupationProduct(p), 1.0, 30_000, 3)
         assert abs(rh.mean - analytic) <= 3.0 * rh.std_error
         assert abs(rd.mean - analytic) <= 3.0 * rd.std_error
         joint = math.hypot(rh.std_error, rd.std_error)
@@ -130,16 +186,15 @@ class TestEstimators:
 
     def test_horizon_independence(self):
         p = pts((0.5, (0,)))
-        r1 = h_transform_estimator(XI, OccupationProduct(p), 1.0, 20_000, 5)
-        r2 = h_transform_estimator(XI, OccupationProduct(p), 1.5, 20_000, 6)
+        r1 = h_estimate(OccupationProduct(p), 1.0, 20_000, 5)
+        r2 = h_estimate(OccupationProduct(p), 1.5, 20_000, 6)
         joint = math.hypot(r1.std_error, r2.std_error)
         assert abs(r1.mean - r2.mean) <= 3.0 * joint
 
     def test_two_time_determinant(self):
         p = pts((0.5, (0,)), (1.0, (1,)))
         analytic = correlation_function(KernelSpec(XI), p)
-        r = martingale_determinant_estimator(XI, OccupationProduct(p), 1.0,
-                                             30_000, 17)
+        r = dmr_estimate(OccupationProduct(p), 1.0, 30_000, 17)
         assert abs(r.mean - analytic) <= 3.0 * r.std_error
 
     def test_occupation_bound(self):
@@ -163,19 +218,13 @@ class TestEstimators:
 
 class TestReproducibility:
     def test_bit_identical_reruns(self):
-        a = h_transform_estimator(XI, One(), 1.0, 2_000, 7)
-        b = h_transform_estimator(XI, One(), 1.0, 2_000, 7)
+        a = h_estimate(One(), 1.0, 2_000, 7)
+        b = h_estimate(One(), 1.0, 2_000, 7)
         assert a == b
 
-    def test_thread_count_does_not_change_results(self):
-        fs = [One(), OccupationProduct(pts((0.5, (0,))))]
-        r1 = estimate_many(XI, fs, 1.0, 5_000, 7, "dmr", threads=1)
-        r4 = estimate_many(XI, fs, 1.0, 5_000, 7, "dmr", threads=4)
-        assert r1 == r4
-
     def test_seed_changes_results(self):
-        a = h_transform_estimator(XI, One(), 1.0, 2_000, 7)
-        b = h_transform_estimator(XI, One(), 1.0, 2_000, 8)
+        a = h_estimate(One(), 1.0, 2_000, 7)
+        b = h_estimate(One(), 1.0, 2_000, 8)
         assert a.mean != b.mean
 
 
