@@ -2,17 +2,19 @@
 
 The exponential martingale exp(a*x - t(cosh a - 1)) generates monic
 polynomials m_n with m_n(0, x) = x^n whose expectations are frozen in
-time.  The signed Bessel transform realizes them as images of monomials
-and, applied to Lagrange basis polynomials of an initial configuration,
-produces the site martingales whose determinant weights the noncolliding
-conditioning.
+time.  The backward heat operator exp(-t(cosh D - 1)) maps monomials to
+them and, applied to the Lagrange basis polynomials of an initial
+configuration, produces the site martingales whose determinant weights
+the noncolliding conditioning.  Those polynomials have degree N - 1, so
+the operator series is a finite sum.
 """
 
 import math
 
-from ncrw import (FiniteConfiguration, backward_transform,
-                  backward_transform_exp, martingale_polynomial,
-                  site_martingale, scaled_bessel_i_all, truncation_radius)
+import numpy as np
+
+from ncrw import (FiniteConfiguration, martingale_polynomial,
+                  site_martingale_row, scaled_bessel_i_all, truncation_radius)
 
 print("martingale polynomials m_n(t, x):")
 for n in range(5):
@@ -29,29 +31,31 @@ for n in range(6):
                       for y in range(u - radius, u + radius + 1))
     print(f"  n={n}: recovered {total:.12f}   exact {float(u) ** n:.1f}")
 
-print("\nsigned Bessel transform of monomials reproduces m_n:")
-for n in range(4):
-    bt = backward_transform(lambda w, n=n: float(w) ** n, n, 1.5, 2)
-    print(f"  n={n}: transform {bt:.12f}   m_n(1.5, 2) "
-          f"{martingale_polynomial(n, 1.5, 2.0):.12f}")
+print("\nsite martingales as a finite series: expanding each Lagrange basis "
+      "polynomial in monomials\nand replacing x^n by m_n(t, x) gives the "
+      "same row")
+config = FiniteConfiguration((-1, 0, 3))
+t, y = 1.2, 2
+row, _ = site_martingale_row(config, t, y)
+for k, uk in enumerate(config.sites):
+    others = [v for v in config.sites if v != uk]
+    coeffs = np.polynomial.polynomial.polyfromroots(others)
+    expanded = math.fsum(float(c) * martingale_polynomial(n, t, float(y))
+                         for n, c in enumerate(coeffs)) / math.prod(
+                             uk - v for v in others)
+    print(f"  M_{k}({t}, {y}): series {row[k]:+.12f}   "
+          f"monomial expansion {expanded:+.12f}")
 
-print("\nexponential case has a closed form 1/E[e^{aV(t)}]:")
-for alpha in (0.25, 1.0):
-    got = backward_transform_exp(alpha, 2.0, 0)
-    want = math.exp(-2.0 * (math.cosh(alpha) - 1.0))
-    print(f"  alpha={alpha:5.2f}: {got:.14f}  vs  {want:.14f}")
-
-print("\nsite martingales of the configuration {0, 2}: "
-      "mean row stays the Kronecker delta")
-config = FiniteConfiguration((0, 2))
-t = 1.0
-radius = truncation_radius(t, 1e-22) + 6
-weights = scaled_bessel_i_all(radius, t)
-for j, uj in enumerate(config.sites):
-    means = []
-    for k in range(len(config)):
-        m = math.fsum(weights[abs(y - uj)] * site_martingale(config, k, t, y)
-                      for y in range(uj - radius, uj + radius + 1))
-        means.append(m)
-    print(f"  start site u_{j}={uj}: E[M_k] = "
-          + ", ".join(f"{m:+.10f}" for m in means))
+print("\nsite martingales of the configuration {0, 2, 5}: "
+      "mean row stays the Kronecker delta, also at t = 22")
+config = FiniteConfiguration((0, 2, 5))
+for t in (1.0, 22.0):
+    radius = truncation_radius(t, 1e-22) + 6
+    weights = scaled_bessel_i_all(radius + 5, t)
+    ys = range(-radius, 5 + radius + 1)
+    rows = np.array([site_martingale_row(config, t, y)[0] for y in ys])
+    for j, uj in enumerate(config.sites):
+        p = np.array([weights[abs(y - uj)] for y in ys])
+        means = [math.fsum(p * rows[:, k]) for k in range(len(config))]
+        print(f"  t={t:4.0f}, start site u_{j}={uj}: E[M_k] = "
+              + ", ".join(f"{m:+.10f}" for m in means))

@@ -23,17 +23,14 @@ from .kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
                       equal_time_kernel_matrix, gauge_transform,
                       kernel_finite, kernel_lattice, kernel_stationary,
                       lattice_kernel_g, lattice_kernel_remainder, sine_kernel)
-from .martingales import (FiniteConfiguration, LatticeSpec,
-                          backward_transform, backward_transform_exp,
-                          esscher_weight, lagrange_basis, lattice_basis,
-                          lattice_martingale, martingale_coefficients,
-                          martingale_polynomial, site_martingale,
+from .martingales import (FiniteConfiguration, LatticeSpec, esscher_weight,
+                          lagrange_basis, lattice_basis, lattice_martingale,
+                          martingale_coefficients, martingale_polynomial,
                           site_martingale_row, vandermonde)
 from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
                          absorbed_weight_mean, empirical_correlation,
                          estimate_many, vandermonde_ratio)
-from .relaxation import (RelaxationReport, aliasing_remainder, principal_term,
-                         relaxation_gap, relaxation_sweep,
+from .relaxation import (RelaxationReport, relaxation_gap, relaxation_sweep,
                          remainder_damping_max)
 
 __version__ = "0.1.0"
@@ -51,15 +48,13 @@ __all__ = [
     "equal_time_kernel_matrix", "gauge_transform", "kernel_finite",
     "kernel_lattice", "kernel_stationary", "lattice_kernel_g",
     "lattice_kernel_remainder", "sine_kernel",
-    "FiniteConfiguration", "LatticeSpec", "backward_transform",
-    "backward_transform_exp", "esscher_weight", "lagrange_basis",
+    "FiniteConfiguration", "LatticeSpec", "esscher_weight", "lagrange_basis",
     "lattice_basis", "lattice_martingale", "martingale_coefficients",
-    "martingale_polynomial", "site_martingale", "site_martingale_row",
-    "vandermonde",
+    "martingale_polynomial", "site_martingale_row", "vandermonde",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
     "absorbed_weight_mean", "empirical_correlation", "estimate_many",
     "vandermonde_ratio",
-    "RelaxationReport", "aliasing_remainder", "principal_term",
-    "relaxation_gap", "relaxation_sweep", "remainder_damping_max",
+    "RelaxationReport", "relaxation_gap", "relaxation_sweep",
+    "remainder_damping_max",
     "__version__",
 ]

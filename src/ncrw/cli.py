@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .correlations import MultiTimePointSet, correlation_function
 from .errors import ConvergenceError
@@ -380,6 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs a large share of a small request, and
+    # parse_args leaves it unchanged, so one instance serves every call.
+    return build_parser()
+
+
 # options whose values may start with '-' (ranges, point lists, site lists);
 # argparse would read such a value as a flag unless it is fused with '='.
 _FUSE_VALUE_FLAGS = ("--window", "--grid", "--point", "--at", "--tau",
@@ -401,8 +409,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(
+    args = _parser().parse_args(_normalize_argv(
         sys.argv[1:] if argv is None else list(argv)))
     try:
         cfg = _resolve_config(args)

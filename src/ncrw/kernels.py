@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bessel import scaled_bessel_i, scaled_bessel_i_all, truncation_radius
+from .errors import ConvergenceError
 from .martingales import (FiniteConfiguration, LatticeSpec,
                           lattice_martingale_batch, site_martingale_row)
 from .quadrature import gauss_legendre
@@ -42,6 +43,10 @@ GAUGES = ("prob", "paper")
 # would lose more than ~1e-10 to cancellation: its intermediate terms grow
 # like exp(t * (1 - cos(pi/a))).
 _SPECTRAL_SWITCH = 10.0
+# the same ~1e-10 budget for the finite kernel: refuse a value whose
+# estimated rounding error (see _check_rounding) is larger.
+_ROUNDING_BUDGET = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 class SpaceTimePoint(NamedTuple):
@@ -78,8 +83,21 @@ def sine_kernel(rho: float, n: int) -> float:
 # finite configurations
 # ---------------------------------------------------------------------------
 
-def kernel_finite(config: FiniteConfiguration, p, q, gauge: str = "prob", *,
-                  eps_tail: float = 1e-14) -> float:
+def _check_rounding(operation: str, config: FiniteConfiguration, t: float,
+                    spread: float) -> None:
+    # spread is sum_k p(s, x|u_k) * (sum of absolute series terms of M_k);
+    # eps times it estimates the rounding error of the kernel value.
+    bound = _EPS * spread
+    if not bound <= _ROUNDING_BUDGET:
+        raise ConvergenceError(
+            operation,
+            f"rounding error bound {bound:.2g} above {_ROUNDING_BUDGET:g} for "
+            f"N={len(config)} sites at t={t:g} (configuration too wide for "
+            "double precision at this time)")
+
+
+def kernel_finite(config: FiniteConfiguration, p, q,
+                  gauge: str = "prob") -> float:
     """Correlation kernel for N walks started from ``config``.
 
     In the "prob" gauge:
@@ -88,16 +106,17 @@ def kernel_finite(config: FiniteConfiguration, p, q, gauge: str = "prob", *,
 
     with M_j the site martingale of u_j.  The "paper" gauge multiplies by
     e^{s-t}, which strips the transition-probability prefactors down to
-    bare Bessel products.
+    bare Bessel products.  Raises ``ConvergenceError`` when cancellation in
+    the martingale series could cost more than ~1e-10 absolute.
     """
     _check_gauge(gauge)
     s, x = as_point(p)
     t, y = as_point(q)
-    u = config.sites
-    dmax = max(abs(x - uj) for uj in u)
-    it_s = scaled_bessel_i_all(dmax, s)
-    row = site_martingale_row(config, t, y, eps_tail=eps_tail)
-    total = math.fsum(it_s[abs(x - uj)] * row[j] for j, uj in enumerate(u))
+    dist = np.abs(x - np.asarray(config.sites))
+    weights = scaled_bessel_i_all(int(dist.max()), s)[dist]
+    row, spread = site_martingale_row(config, t, y)
+    _check_rounding("kernel_finite", config, t, float(weights @ spread))
+    total = math.fsum(weights * row)
     if s > t:
         total -= scaled_bessel_i(abs(x - y), s - t)
     if gauge == "paper":
@@ -106,21 +125,22 @@ def kernel_finite(config: FiniteConfiguration, p, q, gauge: str = "prob", *,
 
 
 def equal_time_kernel_matrix(config: FiniteConfiguration, t: float,
-                             window: Sequence[int], *,
-                             eps_tail: float = 1e-14) -> np.ndarray:
+                             window: Sequence[int]) -> np.ndarray:
     """Matrix K_t(x, y) over a site window (both gauges agree at equal time).
 
     K_t is the projection onto the N-dimensional span of the evolved
-    initial states: K_t * K_t = K_t on Z and trace K_t = N.
+    initial states: K_t * K_t = K_t on Z and trace K_t = N.  Raises
+    ``ConvergenceError`` under the same rounding guard as ``kernel_finite``,
+    applied to every entry.
     """
     sites = [int(v) for v in window]
-    u = config.sites
-    dmax = max(abs(x - uj) for x in sites for uj in u)
-    it = scaled_bessel_i_all(dmax, float(t))
-    trans = np.array([[it[abs(x - uj)] for uj in u] for x in sites])
-    rows = np.stack([site_martingale_row(config, float(t), y, eps_tail=eps_tail)
-                     for y in sites])
-    return trans @ rows.T
+    dist = np.abs(np.asarray(sites)[:, None] - np.asarray(config.sites))
+    trans = scaled_bessel_i_all(int(dist.max()), float(t))[dist]
+    rows, spreads = zip(*(site_martingale_row(config, float(t), y)
+                          for y in sites))
+    _check_rounding("equal_time_kernel_matrix", config, t,
+                    float((trans @ np.array(spreads).T).max()))
+    return trans @ np.array(rows).T
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +351,7 @@ class KernelSpec:
                  tol: float | None = None,
                  method: str | None = None) -> float:
         if isinstance(self.variant, FiniteConfiguration):
-            kw = {} if eps_tail is None else {"eps_tail": eps_tail}
-            return kernel_finite(self.variant, p, q, self.gauge, **kw)
+            return kernel_finite(self.variant, p, q, self.gauge)
         if isinstance(self.variant, LatticeSpec):
             kw = {k: v for k, v in
                   (("eps_tail", eps_tail), ("tol", tol), ("method", method))

@@ -2,15 +2,16 @@
 
 The walk's exponential martingale ``exp(a*x - t*(cosh a - 1))`` generates a
 family of monic martingale polynomials m_n (discrete heat polynomials).
-The same polynomials arise from the signed Bessel transform
-
-    (B f)(t, x) = e^t * sum_w I_{|w-x|}(-t) f(w),
-
-which inverts the transition semigroup on polynomials: m_n = B[w^n] and
-sum_y p(t, y|x) m_n(t, y) = x^n.  Applying B to the Lagrange basis
-polynomials of a finite configuration (or to their sinc limit for the
-infinite equidistant lattice) yields the site martingales whose
-determinants drive everything else in the package.
+They are the images of the monomials under the backward heat operator
+exp(-t*(cosh D - 1)), D = d/dx, which inverts the transition semigroup on
+polynomials: sum_y p(t, y|x) m_n(t, y) = x^n.  Applied to the Lagrange
+basis polynomials of a finite configuration, the operator yields the site
+martingales whose determinants drive everything else in the package.  The
+basis polynomials have degree N - 1, so the operator series stops after
+N terms and is evaluated exactly as a finite sum, together with the sum of
+its absolute terms, from which callers bound the cancellation.  For the
+infinite equidistant lattice the basis is the sinc function, and its
+martingale is a momentum integral.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bessel import scaled_bessel_i_all
 from .errors import ConvergenceError
 from .quadrature import gauss_legendre
 
@@ -43,8 +43,6 @@ class FiniteConfiguration:
         if any(b <= a for a, b in zip(sites, sites[1:])):
             raise ValueError(f"sites must be strictly increasing, got {sites}")
         object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "_site_index",
-                           {s: i for i, s in enumerate(sites)})
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -160,163 +158,68 @@ def lagrange_basis(config: FiniteConfiguration, k: int, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# signed Bessel transform (inverse of the transition semigroup on polynomials)
-# ---------------------------------------------------------------------------
-
-def _signed_weight_scan(t: float, eps_tail: float, max_radius: int):
-    # Yields (k, weight_k) with weight_k = (-1)^k e^{2t} itilde_k(t), the
-    # coefficient of f(x +- k) in e^t sum_w I_{|w-x|}(-t) f(w).
-    size = 64
-    vals = scaled_bessel_i_all(size, t)
-    amp = math.exp(2.0 * t)
-    k = 0
-    while k <= max_radius:
-        if k > size:
-            size *= 2
-            vals = scaled_bessel_i_all(size, t)
-        yield k, (amp if k % 2 == 0 else -amp) * vals[k]
-        k += 1
-
-
-def backward_transform(f: Callable[[int], float], degree: int, t: float,
-                       x: int, *, eps_tail: float = 1e-14,
-                       max_radius: int = 4096) -> float:
-    """e^t sum_w I_{|w-x|}(-t) f(w) for f of at most polynomial growth.
-
-    ``degree`` bounds the growth of f so the truncation radius is safe:
-    the signed weights decay super-exponentially, and the scan stops after
-    three consecutive rings contribute less than ``eps_tail`` beyond radius
-    t + degree.  Compensated summation keeps the alternating cancellation
-    (the weights sum to e^{-2t} times the result scale) at roughly
-    eps * e^{2t} absolute error.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t == 0.0:
-        return float(f(x))
-    x = int(x)
-    terms = []
-    quiet = 0
-    floor = t + degree
-    for k, w in _signed_weight_scan(t, eps_tail, max_radius):
-        contrib = w * f(x) if k == 0 else w * (f(x + k) + f(x - k))
-        terms.append(contrib)
-        if k > floor and abs(contrib) < eps_tail:
-            quiet += 1
-            if quiet >= 3:
-                return math.fsum(terms)
-        else:
-            quiet = 0
-    raise ConvergenceError("backward_transform",
-                           f"terms still above {eps_tail:g} at radius {max_radius}")
-
-
-def backward_transform_exp(alpha: float, t: float, x: int, *,
-                           eps_tail: float = 1e-14,
-                           max_radius: int = 4096) -> float:
-    """The transform applied to w -> exp(alpha*(w - x)).
-
-    Only non-polynomial input the package needs; its exact value is
-    exp(-t*(cosh(alpha) - 1)), the reciprocal of the walk's moment
-    generating factor, which tests verify against this truncated sum.
-    """
-    if not math.isfinite(alpha):
-        raise ValueError(f"tilt parameter must be finite, got {alpha}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t == 0.0:
-        return 1.0
-    terms = []
-    quiet = 0
-    floor = t * math.exp(abs(alpha))
-    for k, w in _signed_weight_scan(t, eps_tail, max_radius):
-        contrib = w if k == 0 else w * (math.exp(alpha * k) + math.exp(-alpha * k))
-        terms.append(contrib)
-        if k > floor and abs(contrib) < eps_tail:
-            quiet += 1
-            if quiet >= 3:
-                return math.fsum(terms)
-        else:
-            quiet = 0
-    raise ConvergenceError("backward_transform",
-                           f"terms still above {eps_tail:g} at radius {max_radius}")
-
-
-# ---------------------------------------------------------------------------
 # site martingales of a finite configuration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _lagrange_denominators(config: FiniteConfiguration) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _series_weights(n_sites: int, t: float) -> np.ndarray:
+    # m! * b_m(t) for m < n_sites (zero at odd m): the weights of
+    # Phi^{(m)}(y) / m! in the heat-operator series, each evaluated exactly
+    # in rationals and rounded once.
+    tf = Fraction(t)
+    out = np.zeros(n_sites)
+    for m in range(0, n_sites, 2):
+        acc = Fraction(0)
+        for c in reversed(_generating_coeffs(m)):  # Horner in t
+            acc = acc * tf + c
+        out[m] = float(acc * math.factorial(m))
+    out.setflags(write=False)
+    return out
+
+
+def _basis_taylor_rows(config: FiniteConfiguration, y: int) -> np.ndarray:
+    # Row k holds the Taylor coefficients in h of Phi^{u_k}(y + h), lowest
+    # power first: the product over j != k of (y - u_j + h) / (u_k - u_j),
+    # built one factor j at a time for every k at once.  Dividing each factor
+    # as it is applied keeps wide configurations clear of overflow, and the
+    # row at a site stays an exact Kronecker row.
     u = np.asarray(config.sites, dtype=float)
-    diffs = u[:, None] - u[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    d = diffs.prod(axis=1)
-    d.setflags(write=False)
-    return d
+    gaps = u[:, None] - u[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    inv = 1.0 / gaps
+    ratio = (y - u)[None, :] / gaps
+    np.fill_diagonal(ratio, 1.0)
+    coef = np.zeros((len(u), len(u)))
+    coef[:, 0] = 1.0
+    for j in range(len(u)):
+        shifted = coef[:, :-1] * inv[:, j, None]
+        coef *= ratio[:, j, None]
+        coef[:, 1:] += shifted
+    return coef
 
 
-def _lagrange_row(config: FiniteConfiguration, w: int,
-                  denom: np.ndarray) -> np.ndarray:
-    # Phi^{u_k}(w) for all k at an integer point w.
-    u = config.sites
-    if w in config._site_index:
-        row = np.zeros(len(u))
-        row[config._site_index[w]] = 1.0
-        return row
-    dw = w - np.asarray(u, dtype=float)
-    full = dw.prod()
-    return full / (dw * denom)
+def site_martingale_row(config: FiniteConfiguration, t: float,
+                        y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Martingales of every site of ``config`` at (t, y), with their spread.
 
+    Entry k of the first array is M_k(t, y) = exp(-t(cosh D - 1)) Phi^{u_k}
+    at y, the backward heat operator applied to the Lagrange basis
+    polynomial of u_k.  The basis polynomial has degree N - 1, so the
+    operator series is finite:
 
-def site_martingale_row(config: FiniteConfiguration, t: float, y: int, *,
-                        eps_tail: float = 1e-14,
-                        max_radius: int = 4096) -> np.ndarray:
-    """Backward transform of every Lagrange basis polynomial at (t, y).
+        M_k(t, y) = sum_{m even < N} b_m(t) Phi^{(m)}(y),
 
-    Entry k is the martingale attached to site u_k evaluated at (t, y);
-    at t = 0 the row collapses to the Kronecker row Phi^{u_k}(y).
+    with b_m(t) the Taylor coefficients of exp(-t(cosh a - 1)), expanded
+    around y.  Entry k of the second array is the sum of the absolute terms
+    of that series; machine epsilon times it estimates the rounding error
+    of entry k (kernels refuse values whose weighted estimate is too
+    large).  At t = 0 the row is the Kronecker row Phi^{u_k}(y).
     """
-    denom = _lagrange_denominators(config)
-    if t == 0.0:
-        return _lagrange_row(config, int(y), denom)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    y = int(y)
-    rings = []
-    quiet = 0
-    floor = t + len(config) - 1
-    for k, w in _signed_weight_scan(t, eps_tail, max_radius):
-        if k == 0:
-            ring = w * _lagrange_row(config, y, denom)
-        else:
-            ring = w * (_lagrange_row(config, y + k, denom)
-                        + _lagrange_row(config, y - k, denom))
-        rings.append(ring)
-        peak = np.max(np.abs(ring))
-        if not np.isfinite(peak):
-            raise ConvergenceError(
-                "site_martingale",
-                f"basis polynomial overflow at ring {k} for N={len(config)} "
-                "sites (configuration too wide for the direct route)")
-        if k > floor and peak < eps_tail:
-            quiet += 1
-            if quiet >= 3:
-                stacked = np.stack(rings)
-                return np.array([math.fsum(stacked[:, j])
-                                 for j in range(stacked.shape[1])])
-        else:
-            quiet = 0
-    raise ConvergenceError("site_martingale",
-                           f"terms still above {eps_tail:g} at radius {max_radius}")
-
-
-def site_martingale(config: FiniteConfiguration, k: int, t: float, y: int, *,
-                    eps_tail: float = 1e-14) -> float:
-    """Martingale of site u_k: backward transform of its Lagrange polynomial."""
-    if not 0 <= k < len(config):
-        raise IndexError(f"site index {k} out of range for N={len(config)}")
-    return float(site_martingale_row(config, t, y, eps_tail=eps_tail)[k])
+    terms = _basis_taylor_rows(config, int(y)) \
+        * _series_weights(len(config), float(t))
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def _determinant_weight(config: FiniteConfiguration, t: float,
     sites = np.unique(positions)
     for y in sites.tolist():
         if y not in rows:
-            rows[y] = site_martingale_row(config, t, y)
+            rows[y] = site_martingale_row(config, t, y)[0]
     m = np.stack([rows[y] for y in sites.tolist()])[
         np.searchsorted(sites, positions)]
     if m.shape[1] == 1:

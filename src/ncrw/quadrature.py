@@ -45,7 +45,7 @@ def periodic_mean(f, *, n_start: int = 16, tol: float = 1e-13,
     n = int(n_start)
     nodes = -np.pi + 2.0 * np.pi * np.arange(n) / n
     prev = float(np.mean(f(nodes)))
-    while n <= max_nodes:
+    while 2 * n <= max_nodes:
         n *= 2
         nodes = -np.pi + 2.0 * np.pi * np.arange(n) / n
         cur = float(np.mean(f(nodes)))
@@ -84,7 +84,7 @@ def gauss_legendre(f, a: float, b: float, *, n_start: int = 32,
 
     n = int(n_start)
     prev = level(n)
-    while n <= max_nodes:
+    while 2 * n <= max_nodes:
         n *= 2
         cur = level(n)
         err = np.max(np.abs(cur - prev))

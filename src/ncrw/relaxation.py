@@ -18,30 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (LatticeSpec, kernel_lattice, kernel_stationary,
-                      lattice_kernel_g, lattice_kernel_remainder,
                       remainder_branches)
 from .quadrature import _leggauss
-
-
-def principal_term(lattice: LatticeSpec, dt: float, dx: int, *,
-                   tol: float = 1e-13) -> float:
-    """Folded band term of the lattice kernel; a function of (dt, dx) only.
-
-    Equals the stationary kernel at density 1/a apart from the indicator
-    part, i.e. principal_term = kernel_stationary + 1(dt<0) p(-dt, dx).
-    """
-    return lattice_kernel_g(lattice, dt, dx, tol=tol)
-
-
-def aliasing_remainder(lattice: LatticeSpec, s: float, x: int, t: float,
-                       y: int, *, tol: float = 1e-13) -> float:
-    """Distance of the lattice kernel from its stationary limit.
-
-    Finite sum over nonzero comb shifts of single momentum integrals (the
-    infinite site sum collapses analytically against the comb before any
-    quadrature).  Vanishes as both time arguments grow.
-    """
-    return lattice_kernel_remainder(lattice, s, x, t, y, tol=tol)
 
 
 def remainder_damping_max(lattice: LatticeSpec, s_scale: float = 1.0, *,

@@ -29,8 +29,9 @@ from .correlations import correlation_from_points
 from .kernels import (KernelSpec, LatticeSpec, StationarySpec, kernel_finite,
                       kernel_lattice, kernel_stationary,
                       equal_time_kernel_matrix, sine_kernel)
-from .martingales import (FiniteConfiguration, backward_transform_exp,
-                          lagrange_basis, martingale_polynomial, vandermonde)
+from .martingales import (FiniteConfiguration, lagrange_basis,
+                          martingale_polynomial, site_martingale_row,
+                          vandermonde)
 from .quadrature import gauss_legendre
 from .relaxation import relaxation_sweep, remainder_damping_max
 
@@ -77,7 +78,8 @@ def check_transition_triple() -> CheckResult:
 
 
 def check_martingale_identities() -> CheckResult:
-    """Semigroup inverts the polynomials; exponential transform identity."""
+    """Semigroup inverts the polynomials and maps site martingales back to
+    the Lagrange basis, at times where cancellation is severe."""
     started = time.perf_counter()
     worst_poly = 0.0
     for t in (0.5, 1.0, 2.0):
@@ -89,16 +91,25 @@ def check_martingale_identities() -> CheckResult:
                     it[abs(y - u)] * martingale_polynomial(n, t, float(y))
                     for y in range(u - radius, u + radius + 1))
                 worst_poly = max(worst_poly, abs(total - float(u) ** n))
-    worst_exp = 0.0
-    for t in (0.5, 1.0, 2.0, 5.0):
-        for alpha in (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0):
-            got = backward_transform_exp(alpha, t, 3)
-            want = math.exp(-t * (math.cosh(alpha) - 1.0))
-            worst_exp = max(worst_exp, abs(got - want))
-    ok = worst_poly <= 1e-8 and worst_exp <= 1e-10
+    # sum_y p(t, y|x) M_k(t, y) = Phi^{u_k}(x)
+    config = FiniteConfiguration((0, 2, 5))
+    xs = range(-1, 7)
+    worst_site = 0.0
+    for t in (0.5, 2.0, 14.0, 22.0):
+        radius = truncation_radius(t, 1e-30) + 4
+        ys = np.arange(xs[0] - radius, xs[-1] + radius + 1)
+        rows = np.array([site_martingale_row(config, t, y)[0] for y in ys])
+        it = scaled_bessel_i_all(radius + len(xs), t)
+        for x in xs:
+            weights = it[np.abs(ys - x)]
+            for k in range(len(config)):
+                total = math.fsum(weights * rows[:, k])
+                worst_site = max(worst_site,
+                                 abs(total - lagrange_basis(config, k, x)))
+    ok = worst_poly <= 1e-8 and worst_site <= 1e-10
     return _finish("martingale-identities", started, ok,
                    f"semigroup residual {worst_poly:.2e} (tol 1e-8), "
-                   f"exponential residual {worst_exp:.2e} (tol 1e-10)",
+                   f"site-martingale residual {worst_site:.2e} (tol 1e-10)",
                    budget=5.0)
 
 

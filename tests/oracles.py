@@ -1,10 +1,11 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the package's evaluation strategies: direct
-series summation with compensated accumulation for the Bessel values, a
-jump-chain level simulation for exit probabilities, and per-sample walk
-paths with a jump-by-jump exit-time loop as the reference for the block
-sampler.
+series summation with compensated accumulation for the Bessel values, the
+signed Bessel transform summed ring by ring for site martingales (in
+double precision, and at 60 digits with mpmath), a jump-chain level
+simulation for exit probabilities, and per-sample walk paths with a
+jump-by-jump exit-time loop as the reference for the block sampler.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncrw.martingales import FiniteConfiguration
+from ncrw.bessel import scaled_bessel_i_all
+from ncrw.errors import ConvergenceError
+from ncrw.martingales import FiniteConfiguration, lagrange_basis
 
 
 def bessel_series(n: int, z: float) -> float:
@@ -85,6 +88,120 @@ def survival_probability_jump_chain(u: tuple[int, ...], horizon: float,
         hits += alive
     p = hits / n_samples
     return p, math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
+
+
+# ---------------------------------------------------------------------------
+# signed Bessel transform: the ring-sum reference for site martingales
+# ---------------------------------------------------------------------------
+
+def _signed_weight_scan(t: float, max_radius: int):
+    # Yields (k, weight_k) with weight_k = (-1)^k e^{2t} itilde_k(t), the
+    # coefficient of f(x +- k) in e^t sum_w I_{|w-x|}(-t) f(w).
+    size = 64
+    vals = scaled_bessel_i_all(size, t)
+    amp = math.exp(2.0 * t)
+    for k in range(max_radius + 1):
+        if k > size:
+            size *= 2
+            vals = scaled_bessel_i_all(size, t)
+        yield k, (amp if k % 2 == 0 else -amp) * vals[k]
+
+
+def _ring_sum(ring, floor: float, t: float, eps_tail: float, max_radius: int):
+    # fsum of ring(k, weight_k) over k until three consecutive rings beyond
+    # ``floor`` stay below eps_tail; works for scalar and vector rings.
+    rings = []
+    quiet = 0
+    for k, w in _signed_weight_scan(t, max_radius):
+        ring_k = np.atleast_1d(ring(k, w))
+        rings.append(ring_k)
+        if k > floor and np.max(np.abs(ring_k)) < eps_tail:
+            quiet += 1
+            if quiet >= 3:
+                stacked = np.stack(rings)
+                return np.array([math.fsum(col) for col in stacked.T])
+        else:
+            quiet = 0
+    raise ConvergenceError("backward_transform",
+                           f"terms still above {eps_tail:g} at radius {max_radius}")
+
+
+def backward_transform(f, degree: int, t: float, x: int, *,
+                       eps_tail: float = 1e-14, max_radius: int = 4096) -> float:
+    """e^t sum_w I_{|w-x|}(-t) f(w) for f of at most polynomial growth.
+
+    ``degree`` bounds the growth of f so the truncation radius is safe.
+    The alternating cancellation costs roughly eps * e^{2t} absolute error.
+    """
+    if t == 0.0:
+        return float(f(x))
+    return float(_ring_sum(
+        lambda k, w: w * f(x) if k == 0 else w * (f(x + k) + f(x - k)),
+        t + degree, t, eps_tail, max_radius)[0])
+
+
+def backward_transform_exp(alpha: float, t: float, x: int, *,
+                           eps_tail: float = 1e-14,
+                           max_radius: int = 4096) -> float:
+    """The transform applied to w -> exp(alpha*(w - x)); its exact value is
+    exp(-t*(cosh(alpha) - 1))."""
+    if t == 0.0:
+        return 1.0
+    return float(_ring_sum(
+        lambda k, w: w if k == 0 else w * 2.0 * math.cosh(alpha * k),
+        t * math.exp(abs(alpha)), t, eps_tail, max_radius)[0])
+
+
+def ring_site_martingale_row(config: FiniteConfiguration, t: float, y: int, *,
+                             eps_tail: float = 1e-14,
+                             max_radius: int = 4096) -> np.ndarray:
+    """Every site martingale at (t, y) by the ring-by-ring signed Bessel
+    sum over the Lagrange basis values; accurate only while eps * e^{2t}
+    is small."""
+    def basis_row(w):
+        return np.array([lagrange_basis(config, k, float(w))
+                         for k in range(len(config))])
+
+    if t == 0.0:
+        return basis_row(y)
+    return _ring_sum(
+        lambda k, w: w * basis_row(y) if k == 0
+        else w * (basis_row(y + k) + basis_row(y - k)),
+        t + len(config) - 1, t, eps_tail, max_radius)
+
+
+def kernel_finite_mpmath(sites, s: float, x: int, t: float, y: int,
+                         dps: int = 60) -> float:
+    """Finite-configuration kernel (probability gauge) from the ring sum at
+    ``dps`` digits: sum_k p(s, x|u_k) e^t sum_w I_{|w-y|}(-t) Phi_k(w)
+    minus 1(s>t) p(s-t, x|y), with the ring sum run well past the decay
+    of its weights."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s_, t_ = mp.mpf(s), mp.mpf(t)
+        radius = int(3 * t + 60 + 2 * len(sites))
+        signed = [mp.besseli(n, -t_) for n in range(radius + 1)]
+
+        def basis(k, w):
+            out = mp.mpf(1)
+            for j, uj in enumerate(sites):
+                if j != k:
+                    out *= mp.mpf(w - uj) / (sites[k] - uj)
+            return out
+
+        total = mp.mpf(0)
+        for k, uk in enumerate(sites):
+            if t == 0:
+                m_k = basis(k, y)
+            else:
+                m_k = mp.exp(t_) * mp.fsum(signed[abs(w - y)] * basis(k, w)
+                                           for w in range(y - radius,
+                                                          y + radius + 1))
+            total += mp.exp(-s_) * mp.besseli(abs(x - uk), s_) * m_k
+        if s > t:
+            total -= mp.exp(t_ - s_) * mp.besseli(abs(x - y), s_ - t_)
+        return float(total)
 
 
 # ---------------------------------------------------------------------------

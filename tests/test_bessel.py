@@ -1,13 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
+from ncrw import quadrature
 from ncrw.bessel import (characteristic_function, scaled_bessel_i,
                          scaled_bessel_i_all, signed_bessel_i,
                          transition_probability,
                          transition_probability_poisson,
                          transition_probability_quadrature,
                          truncation_radius)
+
+from ncrw.errors import ConvergenceError
 
 from oracles import poissonized_walk_probability, scaled_bessel_series
 
@@ -123,6 +127,16 @@ def test_quadrature_node_guard():
         transition_probability_quadrature(1.0, 0, 0, n_start=3)
     with pytest.raises(ValueError):
         transition_probability_quadrature(-1.0, 0, 0)
+
+
+def test_gauss_legendre_stops_at_node_cap(monkeypatch):
+    # an integrand no rule of at most 128 nodes resolves: the refinement
+    # must give up at the cap without building a larger node table
+    monkeypatch.setattr(quadrature, "_leggauss_cache", {})
+    with pytest.raises(ConvergenceError):
+        quadrature.gauss_legendre(lambda x: np.cos(5000.0 * x), 0.0, 1.0,
+                                  max_nodes=128)
+    assert max(quadrature._leggauss_cache) == 128
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0])

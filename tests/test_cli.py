@@ -8,6 +8,9 @@ import jsonschema
 import pytest
 
 from ncrw.cli import main
+from ncrw.correlations import MultiTimePointSet, correlation_function
+from ncrw.kernels import KernelSpec, kernel_finite
+from ncrw.martingales import FiniteConfiguration
 from ncrw.montecarlo import BLOCK_SIZE
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ncrw" / "schemas"
@@ -182,6 +185,30 @@ class TestGlobalBehavior:
         code, _ = run_cli(["relaxation", "--a", "2", "--tau", "2",
                            "--threads", "0"])
         assert code == 2
+
+    def test_successive_calls_are_independent(self):
+        # one parser serves every in-process call; repeated --point and --at
+        # values must not carry over from one call to the next
+        config = FiniteConfiguration((0, 2))
+        first = ["kernel", "--spec", "finite:0,2",
+                 "--point", "0.5,0", "--point", "1.0,1"]
+        _, out1 = run_cli(first)
+        _, out2 = run_cli(["kernel", "--spec", "finite:0,2",
+                           "--point", "2.0,-1", "--point", "0.5,3"])
+        assert float(out1) == kernel_finite(config, (0.5, 0), (1.0, 1))
+        assert float(out2) == kernel_finite(config, (2.0, -1), (0.5, 3))
+        groups = ((0.5, (0, 1)), (1.0, (2,)))
+        _, out3 = run_cli(["correlation", "--spec", "finite:0,2",
+                           "--at", "0.5:0,1", "--at", "1.0:2"])
+        _, out4 = run_cli(["correlation", "--spec", "finite:0,2",
+                           "--at", "1.0:-1"])
+        spec = KernelSpec(config)
+        assert json.loads(out3)["value"] == correlation_function(
+            spec, MultiTimePointSet(groups))
+        assert json.loads(out4)["points"] == [[1.0, [-1]]]
+        assert json.loads(out4)["value"] == correlation_function(
+            spec, MultiTimePointSet(((1.0, (-1,)),)))
+        assert run_cli(first)[1] == out1
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

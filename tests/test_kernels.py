@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrw.bessel import scaled_bessel_i, truncation_radius
+from ncrw.errors import ConvergenceError
 from ncrw.kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
                           equal_time_kernel_matrix, gauge_transform,
                           kernel_finite, kernel_lattice, kernel_stationary,
@@ -12,6 +15,9 @@ from ncrw.kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
                               lagrange_basis)
 from ncrw.quadrature import gauss_legendre
+from oracles import kernel_finite_mpmath
+
+WIDE = FiniteConfiguration.equidistant(2, 20)  # 2Z in [-20, 20], N = 21
 
 
 def split_form_oracle(config, p, q, eps_tail=1e-16):
@@ -113,6 +119,60 @@ class TestEqualTimeProjection:
             for j, y in enumerate(window):
                 assert kt[i, j] == pytest.approx(
                     kernel_finite(c, (1.0, x), (1.0, y)), abs=1e-12)
+
+
+def window_around(sites, t):
+    radius = truncation_radius(t, 1e-24) + 4
+    return range(min(sites) - radius, max(sites) + radius + 1)
+
+
+class TestFiniteLargeTime:
+    """Times where the signed Bessel ring sum loses every digit (its error
+    grows like eps * e^{2t}); the exact series must not, or must refuse."""
+
+    @pytest.mark.parametrize("t", [14.0, 22.0, 50.0])
+    def test_projection_and_trace(self, t):
+        sites = (0, 2, 5)
+        kt = equal_time_kernel_matrix(FiniteConfiguration(sites), t,
+                                      window_around(sites, t))
+        assert np.trace(kt) == pytest.approx(3.0, abs=1e-12)
+        assert np.abs(kt @ kt - kt).max() < 1e-12
+
+    def test_mpmath_oracle(self):
+        c = FiniteConfiguration((0, 2, 5))
+        assert kernel_finite(c, (14.0, 1), (14.0, 1)) == pytest.approx(
+            0.14767246884563603, abs=1e-10)
+        for p, q in [((14.0, 1), (14.0, 1)), ((13.0, -2), (14.5, 4)),
+                     ((15.0, 3), (12.0, 0))]:
+            want = kernel_finite_mpmath(c.sites, *p, *q)
+            assert kernel_finite(c, p, q) == pytest.approx(want, abs=1e-10)
+
+    def test_wide_configuration_mpmath_value(self):
+        # kernel_finite_mpmath(WIDE.sites, 25, 0, 25, 0) at 60 digits
+        assert kernel_finite(WIDE, (25.0, 0), (25.0, 0)) == pytest.approx(
+            0.2745580094176918, abs=1e-10)
+
+    def test_wide_configuration_refused_when_cancellation_wins(self):
+        with pytest.raises(ConvergenceError):
+            kernel_finite(WIDE, (50.0, 0), (50.0, 0))
+        with pytest.raises(ConvergenceError):
+            equal_time_kernel_matrix(WIDE, 50.0, range(-3, 4))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=8,
+                    unique=True),
+           st.floats(0.0, 30.0))
+    def test_trace_and_densities_or_refusal(self, sites, t):
+        sites = tuple(sorted(sites))
+        try:
+            kt = equal_time_kernel_matrix(FiniteConfiguration(sites), t,
+                                          window_around(sites, t))
+        except ConvergenceError:
+            return
+        rho = np.diag(kt)
+        assert np.trace(kt) == pytest.approx(len(sites), abs=1e-9)
+        assert np.all((rho >= -1e-9) & (rho <= 1.0 + 1e-9))
 
 
 class TestKernelLattice:
@@ -271,10 +331,16 @@ class TestKernelSpec:
         assert v1 == v2  # same (dt, dx): identical code path and value
 
     def test_evaluate_passes_tolerances(self):
-        s = KernelSpec(FiniteConfiguration((0, 2)))
-        v1 = s.evaluate((0.5, 0), (0.5, 0), eps_tail=1e-10)
-        v2 = s.evaluate((0.5, 0), (0.5, 0), eps_tail=1e-15)
-        assert v1 == pytest.approx(v2, abs=1e-9)
+        s = KernelSpec(LatticeSpec(2))
+        p, q = (0.5, 0), (1.0, 1)
+        for opts in ({"eps_tail": 1e-10}, {"tol": 1e-9},
+                     {"method": "spectral"}):
+            assert s.evaluate(p, q, **opts) == kernel_lattice(
+                LatticeSpec(2), p, q, **opts)
+        loose = s.evaluate(p, q, eps_tail=1e-10)
+        tight = s.evaluate(p, q, eps_tail=1e-15)
+        assert loose != tight
+        assert loose == pytest.approx(tight, abs=1e-9)
 
     def test_point_validation(self):
         assert SpaceTimePoint(1.0, 2) == (1.0, 2)

@@ -7,11 +7,12 @@ import pytest
 from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
-                              backward_transform, backward_transform_exp,
                               esscher_weight, lagrange_basis, lattice_basis,
                               lattice_martingale, martingale_coefficients,
-                              martingale_polynomial, site_martingale,
-                              site_martingale_row, vandermonde)
+                              martingale_polynomial, site_martingale_row,
+                              vandermonde)
+from oracles import (backward_transform, backward_transform_exp,
+                     ring_site_martingale_row)
 
 
 def transition_weights(t, center, radius):
@@ -129,6 +130,8 @@ class TestMartingalePolynomials:
 
 
 class TestBackwardTransform:
+    """The ring-sum oracle in tests/oracles.py against closed forms."""
+
     def test_constant(self):
         assert backward_transform(lambda w: 1.0, 0, 1.3, 2) == \
             pytest.approx(1.0, abs=1e-12)
@@ -186,6 +189,10 @@ class TestVandermonde:
             assert vandermonde(x) == pytest.approx(det, rel=1e-9, abs=1e-12)
 
 
+def site_martingale(config, k, t, y):
+    return float(site_martingale_row(config, t, y)[0][k])
+
+
 class TestSiteMartingale:
     def test_kronecker_at_time_zero(self):
         c = FiniteConfiguration((0, 2))
@@ -195,10 +202,10 @@ class TestSiteMartingale:
 
     def test_polynomial_expansion_oracle(self):
         # expand the Lagrange polynomial in monomials and sum martingale
-        # polynomials: must match the direct truncated transform
+        # polynomials: must match the series expanded around y
         c = FiniteConfiguration((-1, 0, 3))
         t, y = 1.2, 2
-        row = site_martingale_row(c, t, y)
+        row, _ = site_martingale_row(c, t, y)
         for k in range(3):
             others = [u for i, u in enumerate(c.sites) if i != k]
             coeffs = np.polynomial.polynomial.polyfromroots(others)
@@ -223,6 +230,33 @@ class TestSiteMartingale:
         for t, y in [(0.0, 4), (1.5, -2), (3.0, 9)]:
             assert site_martingale(c, 0, t, y) == pytest.approx(1.0,
                                                                 abs=1e-12)
+
+    def test_matches_ring_sum_oracle(self):
+        # at t <= 2 the ring sum loses at most ~eps * e^4 to cancellation
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            sites = tuple(sorted(int(v) for v in
+                                 rng.choice(np.arange(-12, 13), n,
+                                            replace=False)))
+            c = FiniteConfiguration(sites)
+            t = float(rng.uniform(0.0, 2.0))
+            y = int(rng.integers(-15, 16))
+            row, spread = site_martingale_row(c, t, y)
+            want = ring_site_martingale_row(c, t, y)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+            assert np.all(spread >= np.abs(row))
+
+    def test_kronecker_rows_exact_at_sites(self):
+        c = FiniteConfiguration((-7, -2, 0, 5, 11))
+        for k, u in enumerate(c.sites):
+            row, spread = site_martingale_row(c, 0.0, u)
+            assert row.tolist() == [float(i == k) for i in range(len(c))]
+            assert spread.tolist() == row.tolist()
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            site_martingale_row(FiniteConfiguration((0, 2)), -1.0, 0)
 
 
 class TestLatticeBasis:

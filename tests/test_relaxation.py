@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ncrw.bessel import (scaled_bessel_i, transition_probability_quadrature)
-from ncrw.kernels import kernel_lattice, kernel_stationary, sine_kernel
+from ncrw.kernels import (kernel_lattice, kernel_stationary,
+                          lattice_kernel_g, lattice_kernel_remainder,
+                          sine_kernel)
 from ncrw.martingales import LatticeSpec
 from ncrw.quadrature import gauss_legendre
-from ncrw.relaxation import (RelaxationReport, aliasing_remainder,
-                             principal_term, relaxation_gap, relaxation_sweep,
-                             remainder_damping_max)
+from ncrw.relaxation import (RelaxationReport, relaxation_gap,
+                             relaxation_sweep, remainder_damping_max)
 
 LAT2 = LatticeSpec(2)
 
@@ -23,16 +24,16 @@ class TestDecomposition:
         kl = kernel_lattice(LAT2, (s, x), (t, y), method="sum")
         indicator = scaled_bessel_i(abs(x - y), s - t) if s > t else 0.0
         got = kl + indicator
-        want = principal_term(LAT2, t - s, y - x) + \
-            aliasing_remainder(LAT2, s, x, t, y)
+        want = lattice_kernel_g(LAT2, t - s, y - x) + \
+            lattice_kernel_remainder(LAT2, s, x, t, y)
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_spacing_three(self):
         lat = LatticeSpec(3)
         s, x, t, y = 1.0, 0, 2.0, 1
         kl = kernel_lattice(lat, (s, x), (t, y), method="sum")
-        want = principal_term(lat, t - s, y - x) + \
-            aliasing_remainder(lat, s, x, t, y)
+        want = lattice_kernel_g(lat, t - s, y - x) + \
+            lattice_kernel_remainder(lat, s, x, t, y)
         assert kl == pytest.approx(want, abs=1e-8)
 
     def test_damping_strictly_below_one(self):
@@ -40,7 +41,7 @@ class TestDecomposition:
             assert remainder_damping_max(LatticeSpec(a)) < 1.0
 
     def test_remainder_decreasing_under_shift(self):
-        vals = [abs(aliasing_remainder(LAT2, 1.0 + tau, 0, 2.0 + tau, 1))
+        vals = [abs(lattice_kernel_remainder(LAT2, 1.0 + tau, 0, 2.0 + tau, 1))
                 for tau in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -48,7 +49,7 @@ class TestDecomposition:
         # max of |R| over an 11 x 11 displacement window shrinks in tau
         maxima = []
         for tau in (4.0, 8.0, 16.0):
-            worst = max(abs(aliasing_remainder(LAT2, tau, x, tau, y))
+            worst = max(abs(lattice_kernel_remainder(LAT2, tau, x, tau, y))
                         for x in range(-5, 6) for y in range(-5, 6))
             maxima.append(worst)
         assert maxima[0] > maxima[1] > maxima[2]
@@ -63,7 +64,7 @@ class TestRelaxationGap:
     def test_gap_equals_remainder_at_equal_time(self):
         for tau in (2.0, 6.0):
             gap = relaxation_gap(LAT2, 0.0, 0, 0.0, 1, tau)
-            rem = abs(aliasing_remainder(LAT2, tau, 0, tau, 1))
+            rem = abs(lattice_kernel_remainder(LAT2, tau, 0, tau, 1))
             assert gap == pytest.approx(rem, abs=1e-8)
 
     def test_small_at_large_shift(self):
