@@ -12,7 +12,7 @@ import numpy as np
 
 from ncrw import (FiniteConfiguration, KernelSpec, MultiTimePointSet,
                   TestFunctionSet, correlation_function, density_profile,
-                  equal_time_kernel_matrix, fredholm_generating_function)
+                  fredholm_generating_function, kernel_matrix)
 
 config = FiniteConfiguration((0, 2))
 spec = KernelSpec(config)
@@ -41,7 +41,7 @@ val_paper = correlation_function(KernelSpec(config, "paper"),
 print(f"  paper-gauge evaluation: {val_paper:.8f}")
 
 print("\nequal-time kernel is a projection of rank N:")
-kt = equal_time_kernel_matrix(config, 1.0, range(-20, 23))
+kt = kernel_matrix(spec, [(1.0, x) for x in range(-20, 23)])
 print(f"  ||K@K - K||_max = {np.abs(kt @ kt - kt).max():.2e}, "
       f"trace = {np.trace(kt):.10f}")
 

@@ -8,7 +8,7 @@ an aliasing remainder whose integrand is damped strictly below 1, and the
 gap decays like ~1/tau.
 """
 
-from ncrw import (LatticeSpec, kernel_lattice, lattice_kernel_remainder,
+from ncrw import (KernelSpec, LatticeSpec, lattice_kernel_remainder,
                   relaxation_sweep, remainder_damping_max, sine_kernel)
 
 lattice = LatticeSpec(2)
@@ -29,8 +29,10 @@ print(f"  tau * max-gap stays near a constant: "
       + ", ".join(f"{t * g:.3f}" for t, g in zip(taus, report.max_gap())))
 
 print("\nthe gap IS the aliasing remainder (equal time):")
-for tau in (4.0, 16.0):
-    k = kernel_lattice(lattice, (tau, 0), (tau, 1))
+taus_shown = (4.0, 16.0)
+ks = KernelSpec(lattice).values([(tau, 0) for tau in taus_shown],
+                                [(tau, 1) for tau in taus_shown])
+for tau, k in zip(taus_shown, ks):
     r = lattice_kernel_remainder(lattice, tau, 0, tau, 1)
     print(f"  tau={tau:4.0f}: K - K_sin = {k - sine_kernel(0.5, 1):+.3e}, "
           f"remainder = {r:+.3e}")

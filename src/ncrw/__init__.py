@@ -10,27 +10,25 @@ cross-validates everything with two Monte Carlo estimators; and measures
 the relaxation of the lattice process to equilibrium.
 """
 
-from .bessel import (characteristic_function, scaled_bessel_i,
-                     scaled_bessel_i_all, signed_bessel_i,
+from .bessel import (scaled_bessel_i, scaled_bessel_i_all,
                      transition_probability, transition_probability_poisson,
                      transition_probability_quadrature, truncation_radius)
 from .correlations import (CorrelationEntry, CorrelationTable,
                            MultiTimePointSet, TestFunctionSet,
                            correlation_from_points, correlation_function,
-                           density_profile, fredholm_generating_function)
+                           density_profile, fredholm_generating_function,
+                           kernel_matrix)
 from .errors import ConvergenceError
 from .kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
-                      equal_time_kernel_matrix, gauge_transform,
-                      kernel_finite, kernel_lattice, kernel_stationary,
                       lattice_kernel_g, lattice_kernel_remainder, sine_kernel)
-from .martingales import (FiniteConfiguration, LatticeSpec, esscher_weight,
-                          lagrange_basis, lattice_basis, lattice_martingale,
-                          martingale_coefficients, martingale_polynomial,
-                          site_martingale_row, vandermonde)
+from .martingales import (FiniteConfiguration, LatticeSpec, lagrange_basis,
+                          lattice_martingale_batch, martingale_coefficients,
+                          martingale_polynomial, site_martingale_row,
+                          vandermonde)
 from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
                          absorbed_weight_mean, empirical_correlation,
                          estimate_many, vandermonde_ratio)
-from .relaxation import (RelaxationReport, relaxation_gap, relaxation_sweep,
+from .relaxation import (RelaxationReport, relaxation_sweep,
                          remainder_damping_max)
 
 __version__ = "0.1.0"
@@ -39,22 +37,18 @@ __all__ = [
     "ConvergenceError",
     "CorrelationEntry", "CorrelationTable", "MultiTimePointSet",
     "TestFunctionSet", "correlation_from_points", "correlation_function",
-    "density_profile", "fredholm_generating_function",
-    "characteristic_function", "scaled_bessel_i", "scaled_bessel_i_all",
-    "signed_bessel_i", "transition_probability",
+    "density_profile", "fredholm_generating_function", "kernel_matrix",
+    "scaled_bessel_i", "scaled_bessel_i_all", "transition_probability",
     "transition_probability_poisson", "transition_probability_quadrature",
     "truncation_radius",
-    "KernelSpec", "SpaceTimePoint", "StationarySpec",
-    "equal_time_kernel_matrix", "gauge_transform", "kernel_finite",
-    "kernel_lattice", "kernel_stationary", "lattice_kernel_g",
+    "KernelSpec", "SpaceTimePoint", "StationarySpec", "lattice_kernel_g",
     "lattice_kernel_remainder", "sine_kernel",
-    "FiniteConfiguration", "LatticeSpec", "esscher_weight", "lagrange_basis",
-    "lattice_basis", "lattice_martingale", "martingale_coefficients",
+    "FiniteConfiguration", "LatticeSpec", "lagrange_basis",
+    "lattice_martingale_batch", "martingale_coefficients",
     "martingale_polynomial", "site_martingale_row", "vandermonde",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
     "absorbed_weight_mean", "empirical_correlation", "estimate_many",
     "vandermonde_ratio",
-    "RelaxationReport", "relaxation_gap", "relaxation_sweep",
-    "remainder_damping_max",
+    "RelaxationReport", "relaxation_sweep", "remainder_damping_max",
     "__version__",
 ]

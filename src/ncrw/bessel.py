@@ -41,24 +41,6 @@ def _check_order_time(n: int, t: float) -> None:
         raise ValueError(f"time argument must be >= 0, got {t}")
 
 
-def _series_single(n: int, t: float) -> float:
-    # itilde_n(t) = exp(-t) (t/2)^n sum_l (t/2)^(2l) / (l! (n+l)!)
-    half = 0.5 * t
-    term = math.exp(-t)
-    for j in range(1, n + 1):
-        term *= half / j
-        if term == 0.0:
-            return 0.0
-    h2 = half * half
-    total = term
-    for l in range(1, 1000):
-        term *= h2 / (l * (n + l))
-        total += term
-        if term <= total * 1e-18:
-            return total
-    raise ConvergenceError("scaled_bessel_i", f"series stalled at n={n}, t={t}")
-
-
 def _miller_all(n_max: int, t: float) -> np.ndarray:
     # Backward recurrence I_{k-1} = I_{k+1} + (2k/t) I_k from a start index
     # high enough that the wanted orders are fully converged, then normalize
@@ -83,13 +65,7 @@ def _miller_all(n_max: int, t: float) -> np.ndarray:
 
 def scaled_bessel_i(n: int, t: float) -> float:
     """exp(-t) * I_n(t) for integer order n >= 0 and t >= 0."""
-    _check_order_time(n, t)
-    n = int(n)
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if t < _SERIES_T_MAX:
-        return _series_single(n, t)
-    return float(_miller_all(n, t)[n])
+    return float(scaled_bessel_i_all(n, t)[int(n)])
 
 
 @lru_cache(maxsize=512)
@@ -122,22 +98,7 @@ def _scaled_all_cached(n_max: int, t: float) -> np.ndarray:
 def scaled_bessel_i_all(n_max: int, t: float) -> np.ndarray:
     """Read-only array of exp(-t) I_n(t) for n = 0..n_max."""
     _check_order_time(n_max, t)
-    if t == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        out.setflags(write=False)
-        return out
     return _scaled_all_cached(int(n_max), float(t))
-
-
-def signed_bessel_i(n: int, z: float) -> float:
-    """I_n(z) for any real z, via the parity I_n(-t) = (-1)^n I_n(t)."""
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z}")
-    mag = math.exp(abs(z)) * scaled_bessel_i(n, abs(z))
-    if z < 0 and n % 2 == 1:
-        return -mag
-    return mag
 
 
 def truncation_radius(t: float, eps_tail: float = 1e-16) -> int:
@@ -217,11 +178,3 @@ def transition_probability_poisson(t: float, x: int, y: int, *,
                                    f"Poisson tail did not close for t={t}")
     return math.fsum(terms)
 
-
-def characteristic_function(t: float, z: complex) -> complex:
-    """E[e^{izV(t)}] = exp(t (cos z - 1)) for the continuous-time walk."""
-    _check_order_time(0, t)
-    zc = complex(z)
-    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
-        raise ValueError(f"argument must be finite, got {z}")
-    return complex(np.exp(t * (np.cos(zc) - 1.0)))

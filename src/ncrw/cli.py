@@ -17,9 +17,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .correlations import MultiTimePointSet, correlation_function
+from .correlations import (MultiTimePointSet, correlation_function,
+                           density_profile)
 from .errors import ConvergenceError
-from .kernels import (KernelSpec, StationarySpec, kernel_stationary)
+from .kernels import KernelSpec, StationarySpec
 from .martingales import FiniteConfiguration, LatticeSpec
 from .montecarlo import OccupationProduct, estimate_many
 from .relaxation import relaxation_sweep
@@ -172,26 +173,27 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
         if len(parts) != 4:
             raise ValueError("--grid expects 'S,XLO:XHI,T,YLO:YHI'")
         s, t = float(parts[0]), float(parts[2])
-        xs, ys = _parse_range(parts[1]), _parse_range(parts[3])
-        rows = [[_fmt(s), x, _fmt(t), y,
-                 spec.evaluate((s, x), (t, y), **_spec_opts(cfg))]
-                for x in xs for y in ys]
-        _emit_csv(["s", "x", "t", "y", "value"], rows, cfg)
+        cells = [(x, y) for x in _parse_range(parts[1])
+                 for y in _parse_range(parts[3])]
+        values = spec.values([(s, x) for x, _ in cells],
+                             [(t, y) for _, y in cells], **_spec_opts(cfg))
+        _emit_csv(["s", "x", "t", "y", "value"],
+                  [[_fmt(s), x, _fmt(t), y, v]
+                   for (x, y), v in zip(cells, values.tolist())], cfg)
         return 0
     if isinstance(spec.variant, StationarySpec) and args.dt is not None:
         if args.dx is None:
             raise ValueError("--dt requires --dx")
-        value = kernel_stationary(spec.variant.rho, args.dt, args.dx,
-                                  args.gauge, tol=cfg.tol_quad)
         points = [[0.0, 0], [args.dt, args.dx]] if args.dt >= 0 \
             else [[-args.dt, 0], [0.0, args.dx]]
+        p, q = points
     else:
         if not args.point or len(args.point) != 2:
             raise ValueError("kernel needs exactly two --point T,X "
                              "(or --dt/--dx with a stationary spec)")
         p, q = (_parse_point(v) for v in args.point)
-        value = spec.evaluate(p, q, **_spec_opts(cfg))
         points = [list(p), list(q)]
+    value = spec.values([p], [q], **_spec_opts(cfg)).item()
     if cfg.output == "json":
         _emit_json({"spec": args.spec, "gauge": args.gauge,
                     "points": points, "value": value}, cfg)
@@ -207,14 +209,13 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
 def _cmd_density(args, cfg: RunConfig) -> int:
     spec = KernelSpec.parse(args.spec, args.gauge)
     window = _parse_range(args.window)
-    rows = [[_fmt(args.t), x,
-             spec.evaluate((args.t, x), (args.t, x), **_spec_opts(cfg))]
-            for x in window]
+    rho = density_profile(spec, args.t, window, **_spec_opts(cfg)).tolist()
     if cfg.output == "json":
         _emit_json({"spec": args.spec, "t": args.t,
-                    "rows": [[int(r[1]), r[2]] for r in rows]}, cfg)
+                    "rows": [[x, v] for x, v in zip(window, rho)]}, cfg)
     else:
-        _emit_csv(["t", "x", "rho"], rows, cfg)
+        _emit_csv(["t", "x", "rho"],
+                  [[_fmt(args.t), x, v] for x, v in zip(window, rho)], cfg)
     return 0
 
 
@@ -271,7 +272,7 @@ def _cmd_relaxation(args, cfg: RunConfig) -> int:
     taus = tuple(float(v) for v in args.tau.split(","))
     displacements = [(args.dt, dx) for dx in range(0, args.dx_max + 1)]
     report = relaxation_sweep(lattice, displacements, taus,
-                              tol=cfg.tol_quad, threads=cfg.threads)
+                              tol=cfg.tol_quad)
     rows = []
     for i, tau in enumerate(report.tau_grid):
         for j, (dt, dx) in enumerate(report.displacements):
@@ -310,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="quadrature tolerance (default 1e-13)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for relaxation sweeps (default 1)")
+                        help="accepted for compatibility (must be >= 1); "
+                             "changes no computation")
     common.add_argument("--seed", type=int, default=None,
                         help="base seed for sampling (default 0)")
     common.add_argument("--output", choices=("csv", "json"), default=None,

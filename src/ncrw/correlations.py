@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, as_point
+from .kernels import KernelSpec
 
 MAX_CORRELATION_POINTS = 12
 MAX_FREDHOLM_SUPPORT = 14
@@ -76,21 +76,17 @@ class CorrelationTable:
 
 def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]],
                   **opts) -> np.ndarray:
-    pts = [as_point(p) for p in points]
-    n = len(pts)
-    out = np.empty((n, n))
-    for i, pi in enumerate(pts):
-        for j, pj in enumerate(pts):
-            out[i, j] = spec.evaluate(pi, pj, **opts)
-    return out
+    """Matrix K(points[i], points[j]), all entries in one batch."""
+    n = len(points)
+    pts = np.asarray(points, dtype=float).reshape(n, 2)
+    return spec.values(np.repeat(pts, n, axis=0), np.tile(pts, (n, 1)),
+                       **opts).reshape(n, n)
 
 
 def correlation_from_points(spec: KernelSpec,
                             points: Sequence[tuple[float, int]],
                             **opts) -> float:
     """det K over an explicit point list (no ordering constraints)."""
-    if not points:
-        return 1.0
     return float(np.linalg.det(kernel_matrix(spec, points, **opts)))
 
 
@@ -111,9 +107,14 @@ def correlation_function(spec: KernelSpec, pts: MultiTimePointSet,
 
 def density_profile(spec: KernelSpec, t: float, window: Sequence[int],
                     **opts) -> np.ndarray:
-    """One-point correlation K(t,x;t,x) for x over the window."""
-    return np.array([spec.evaluate((t, x), (t, x), **opts)
-                     for x in window])
+    """One-point correlation K(t,x;t,x) for x over the window.
+
+    Evaluates the diagonal only: off-diagonal entries of a wide window can
+    be refused by the finite kernel's rounding guard when the diagonal is
+    accurate.
+    """
+    pts = [(t, x) for x in window]
+    return spec.values(pts, pts, **opts)
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,6 @@ def fredholm_generating_function(spec: KernelSpec, tests: TestFunctionSet,
     n = len(chi_pts)
     if n > MAX_FREDHOLM_SUPPORT:
         raise ValueError(f"test support of {n} points above guard {MAX_FREDHOLM_SUPPORT}")
-    if n == 0:
-        return 1.0
     points = [(t, x) for t, x, _ in chi_pts]
     chi = np.array([c for _, _, c in chi_pts])
     mat = np.eye(n) + kernel_matrix(spec, points, **opts) * chi[None, :]

@@ -1,11 +1,15 @@
 """Spatio-temporal correlation kernels of the noncolliding walk.
 
-Three kernels under one interface:
+One interface, ``KernelSpec``, tags three kernels with a gauge:
 
-* ``kernel_finite``     - N walks started from a finite configuration,
-* ``kernel_lattice``    - infinitely many walks started from a*Z,
-* ``kernel_stationary`` - the translation-invariant equilibrium kernel at
+* ``FiniteConfiguration`` - N walks started from a finite configuration,
+* ``LatticeSpec``         - infinitely many walks started from a*Z,
+* ``StationarySpec``      - the translation-invariant equilibrium kernel at
   density rho (sine kernel at equal times).
+
+``KernelSpec.values(ps, qs)`` is the only evaluation: it returns
+K(ps[i], qs[i]) for a whole batch of point pairs, sharing Bessel tables,
+site-martingale rows and momentum quadratures between the entries.
 
 Each kernel is defined up to a gauge: multiplying K(s,x;t,y) by
 f(t,y)/f(s,x) changes no correlation determinant.  Two conventions are
@@ -27,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bessel import scaled_bessel_i, scaled_bessel_i_all, truncation_radius
+from .bessel import scaled_bessel_i_all, truncation_radius
 from .errors import ConvergenceError
 from .martingales import (FiniteConfiguration, LatticeSpec,
                           lattice_martingale_batch, site_martingale_row)
@@ -44,7 +48,7 @@ GAUGES = ("prob", "paper")
 # like exp(t * (1 - cos(pi/a))).
 _SPECTRAL_SWITCH = 10.0
 # the same ~1e-10 budget for the finite kernel: refuse a value whose
-# estimated rounding error (see _check_rounding) is larger.
+# estimated rounding error (see _finite_sums) is larger.
 _ROUNDING_BUDGET = 1e-10
 _EPS = float(np.finfo(float).eps)
 
@@ -54,19 +58,17 @@ class SpaceTimePoint(NamedTuple):
     x: int
 
 
-def as_point(p) -> SpaceTimePoint:
-    t, x = p
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"time coordinate must be finite and >= 0, got {t}")
-    if x != int(x):
-        raise ValueError(f"space coordinate must be an integer, got {x}")
-    return SpaceTimePoint(t, int(x))
-
-
-def _check_gauge(gauge: str) -> None:
-    if gauge not in GAUGES:
-        raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
+def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
+    # times and integer sites of a batch of (t, x) points, validated
+    arr = np.asarray(points, dtype=float).reshape(len(points), 2)
+    t, x = arr[:, 0], arr[:, 1]
+    bad = ~(np.isfinite(t) & (t >= 0))
+    if bad.any():
+        raise ValueError(f"time coordinate must be finite and >= 0, got {t[bad][0]}")
+    bad = ~np.isfinite(x) | (x != np.round(x))
+    if bad.any():
+        raise ValueError(f"space coordinate must be an integer, got {x[bad][0]}")
+    return t, x.astype(np.int64)
 
 
 def sine_kernel(rho: float, n: int) -> float:
@@ -79,105 +81,69 @@ def sine_kernel(rho: float, n: int) -> float:
     return math.sin(rho * math.pi * n) / (math.pi * n)
 
 
+def _groups(*columns: np.ndarray):
+    # (key, indices) for every distinct row of the key columns, by sorting;
+    # not np.unique, whose first call imports numpy.ma (~1 MB of RSS)
+    order = np.lexsort(columns)
+    starts = np.any([c[order][1:] != c[order][:-1] for c in columns], axis=0)
+    for idx in np.split(order, np.flatnonzero(starts) + 1):
+        yield tuple(c[idx[0]].item() for c in columns), idx
+
+
+def _bessel_rows(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    # p(t_i, .) at orders[i]: one scaled Bessel table per distinct time
+    out = np.empty(orders.shape)
+    for (t,), idx in _groups(times):
+        n = orders[idx]
+        out[idx] = scaled_bessel_i_all(int(n.max()), t)[n]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # finite configurations
 # ---------------------------------------------------------------------------
 
-def _check_rounding(operation: str, config: FiniteConfiguration, t: float,
-                    spread: float) -> None:
-    # spread is sum_k p(s, x|u_k) * (sum of absolute series terms of M_k);
-    # eps times it estimates the rounding error of the kernel value.
-    bound = _EPS * spread
-    if not bound <= _ROUNDING_BUDGET:
+def _finite_sums(config: FiniteConfiguration, s, x, t, y) -> np.ndarray:
+    # sum_j p(s, x|u_j) M_j(t, y) per entry: one Bessel table per distinct s
+    # and one site-martingale row per distinct (t, y).  spread[k] is the sum
+    # of absolute series terms of M_k, so eps * sum_k p(s, x|u_k) spread_k
+    # estimates the rounding error of each entry.
+    weights = _bessel_rows(s, np.abs(x[:, None] - np.asarray(config.sites)))
+    rows = np.empty(weights.shape)
+    spreads = np.empty(weights.shape)
+    for (tv, yv), idx in _groups(t, y):
+        rows[idx], spreads[idx] = site_martingale_row(config, tv, yv)
+    bound = _EPS * np.einsum("ij,ij->i", weights, spreads)
+    worst = int(np.argmax(bound))
+    if not bound[worst] <= _ROUNDING_BUDGET:
         raise ConvergenceError(
-            operation,
-            f"rounding error bound {bound:.2g} above {_ROUNDING_BUDGET:g} for "
-            f"N={len(config)} sites at t={t:g} (configuration too wide for "
-            "double precision at this time)")
-
-
-def kernel_finite(config: FiniteConfiguration, p, q,
-                  gauge: str = "prob") -> float:
-    """Correlation kernel for N walks started from ``config``.
-
-    In the "prob" gauge:
-
-        K(s,x;t,y) = sum_j p(s, x|u_j) M_j(t, y) - 1(s>t) p(s-t, x|y)
-
-    with M_j the site martingale of u_j.  The "paper" gauge multiplies by
-    e^{s-t}, which strips the transition-probability prefactors down to
-    bare Bessel products.  Raises ``ConvergenceError`` when cancellation in
-    the martingale series could cost more than ~1e-10 absolute.
-    """
-    _check_gauge(gauge)
-    s, x = as_point(p)
-    t, y = as_point(q)
-    dist = np.abs(x - np.asarray(config.sites))
-    weights = scaled_bessel_i_all(int(dist.max()), s)[dist]
-    row, spread = site_martingale_row(config, t, y)
-    _check_rounding("kernel_finite", config, t, float(weights @ spread))
-    total = math.fsum(weights * row)
-    if s > t:
-        total -= scaled_bessel_i(abs(x - y), s - t)
-    if gauge == "paper":
-        total *= math.exp(s - t)
-    return total
-
-
-def equal_time_kernel_matrix(config: FiniteConfiguration, t: float,
-                             window: Sequence[int]) -> np.ndarray:
-    """Matrix K_t(x, y) over a site window (both gauges agree at equal time).
-
-    K_t is the projection onto the N-dimensional span of the evolved
-    initial states: K_t * K_t = K_t on Z and trace K_t = N.  Raises
-    ``ConvergenceError`` under the same rounding guard as ``kernel_finite``,
-    applied to every entry.
-    """
-    sites = [int(v) for v in window]
-    dist = np.abs(np.asarray(sites)[:, None] - np.asarray(config.sites))
-    trans = scaled_bessel_i_all(int(dist.max()), float(t))[dist]
-    rows, spreads = zip(*(site_martingale_row(config, float(t), y)
-                          for y in sites))
-    _check_rounding("equal_time_kernel_matrix", config, t,
-                    float((trans @ np.array(spreads).T).max()))
-    return trans @ np.array(rows).T
+            "KernelSpec.values",
+            f"rounding error bound {bound[worst]:.2g} above "
+            f"{_ROUNDING_BUDGET:g} for N={len(config)} sites at "
+            f"t={t[worst]:g} (configuration too wide for double precision "
+            "at this time)")
+    return np.einsum("ij,ij->i", weights, rows)
 
 
 # ---------------------------------------------------------------------------
 # infinite equidistant lattice
 # ---------------------------------------------------------------------------
 
-def _lattice_site_sum(lattice: LatticeSpec, s: float, x: int, t: float,
-                      y: int, eps_tail: float, tol: float) -> float:
-    a = lattice.a
-    # site weights itilde_{|x-aj|}(s) pair with martingale values of size up
-    # to mhat_bound, so push the site radius until their product is tiny.
-    mhat_bound = math.exp(t * (1.0 - math.cos(math.pi / a)))
-    eps_eff = min(0.5, max(eps_tail / mhat_bound, 1e-280))
-    r = truncation_radius(s, eps_eff)
-    j_lo = math.ceil((x - r) / a)
-    j_hi = math.floor((x + r) / a)
-    if j_hi < j_lo:
-        return 0.0
-    js = np.arange(j_lo, j_hi + 1)
-    it = scaled_bessel_i_all(int(max(abs(x - a * j_lo), abs(x - a * j_hi))), s)
-    mhat = lattice_martingale_batch(lattice, js, t, y, tol=tol)
-    return math.fsum(it[abs(x - a * j)] * mhat[i] for i, j in enumerate(js))
-
-
-def lattice_kernel_g(lattice: LatticeSpec, dt: float, dx: int, *,
-                     tol: float = 1e-13) -> float:
+def lattice_kernel_g(lattice: LatticeSpec, dt: float, dx, *,
+                     tol: float = 1e-13):
     """Principal band term of the folded lattice kernel:
 
     (1/2*pi*a) int_{-pi}^{pi} exp(i*lam*dx/a + dt*(1 - cos(lam/a))) dlam.
 
     Depends only on the displacement (dt, dx); at dt = 0 it equals the
-    sine kernel at density 1/a.
+    sine kernel at density 1/a.  ``dx`` may be an integer array: one
+    quadrature gives the term at every entry.
     """
     a = lattice.a
-    dx = int(dx)
+    dx = np.asarray(dx)
 
     def integrand(lam):
+        lam = lam.reshape(lam.shape + (1,) * dx.ndim)
         return np.cos(lam * dx / a) * np.exp(dt * (1.0 - np.cos(lam / a)))
 
     return gauss_legendre(integrand, 0.0, math.pi, tol=tol) / (math.pi * a)
@@ -199,9 +165,8 @@ def remainder_branches(lattice: LatticeSpec) -> list[tuple[int, float, float]]:
     return out
 
 
-def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x: int,
-                             t: float, y: int, *,
-                             tol: float = 1e-13) -> float:
+def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x, t: float, y,
+                             *, tol: float = 1e-13):
     """Aliasing remainder of the folded lattice kernel.
 
     Sum over the nonzero comb shifts of
@@ -212,14 +177,17 @@ def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x: int,
 
     The damping factor exp(s*(cos(theta/a) - cos(lam/a))) is < 1 on the
     annulus, so the remainder vanishes as both times grow: this is the
-    entire distance from the lattice kernel to the stationary one.
+    entire distance from the lattice kernel to the stationary one.  ``x``
+    and ``y`` may be integer arrays of one shape: one quadrature per branch
+    gives the remainder at every entry.
     """
     a = lattice.a
-    x = int(x)
-    y = int(y)
+    x = np.asarray(x)
+    y = np.asarray(y)
     total = 0.0
     for m, lo, hi in remainder_branches(lattice):
         def integrand(lam, m=m):
+            lam = lam.reshape(lam.shape + (1,) * x.ndim)
             theta = 2.0 * math.pi * m - lam
             phase = np.cos((theta * x + lam * y) / a)
             expo = ((t - s) * (1.0 - np.cos(lam / a))
@@ -230,98 +198,75 @@ def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x: int,
     return total
 
 
-def kernel_lattice(lattice: LatticeSpec, p, q, gauge: str = "prob", *,
-                   method: str = "auto", eps_tail: float = 1e-14,
-                   tol: float = 1e-13) -> float:
-    """Correlation kernel for the infinite equidistant configuration a*Z.
-
-    ``method="sum"`` evaluates the defining sum over initial sites,
-    ``method="spectral"`` the folded principal + remainder form; ``"auto"``
-    picks the site sum while its cancellation error stays below ~1e-10 and
-    the folded form beyond.  Both agree to quadrature accuracy in the
-    overlap.
-    """
-    _check_gauge(gauge)
-    s, x = as_point(p)
-    t, y = as_point(q)
+def _lattice_sums(lattice: LatticeSpec, s: float, x, t: float, y, *,
+                  eps_tail: float, tol: float, method: str) -> np.ndarray:
+    # The lattice kernel without the backward term at one (s, t), for the
+    # site arrays x, y.  "sum" is the defining sum over initial sites,
+    # sum_j p(s, x|aj) Mhat(t, y - aj); "spectral" the folded principal +
+    # remainder form; "auto" picks the site sum while its cancellation error
+    # stays below ~1e-10.
     a = lattice.a
     if method == "auto":
         method = "sum" if t * (1.0 - math.cos(math.pi / a)) <= _SPECTRAL_SWITCH \
             else "spectral"
-    if method == "sum":
-        total = _lattice_site_sum(lattice, s, x, t, y, eps_tail, tol)
-    elif method == "spectral":
-        total = (lattice_kernel_g(lattice, t - s, y - x, tol=tol)
-                 + lattice_kernel_remainder(lattice, s, x, t, y, tol=tol))
-    else:
-        raise ValueError(f"method must be sum|spectral|auto, got {method!r}")
-    if s > t:
-        total -= scaled_bessel_i(abs(x - y), s - t)
-    if gauge == "paper":
-        total *= math.exp(s - t)
-    return total
+    if method == "spectral":
+        return (lattice_kernel_g(lattice, t - s, y - x, tol=tol)
+                + lattice_kernel_remainder(lattice, s, x, t, y, tol=tol))
+    # site weights p(s, x|aj) pair with martingale values of size up to
+    # mhat_bound, so push the site radius until their product is tiny.
+    mhat_bound = math.exp(t * (1.0 - math.cos(math.pi / a)))
+    eps_eff = min(0.5, max(eps_tail / mhat_bound, 1e-280))
+    r = truncation_radius(s, eps_eff)
+    j_lo = -((r - x) // a)
+    j_hi = (x + r) // a
+    # rows with no site inside the radius (j_hi < j_lo) sum to zero
+    js = j_lo[:, None] + np.arange(max(int((j_hi - j_lo).max()), 0) + 1)
+    inside = js <= j_hi[:, None]
+    from_x = np.where(inside, np.abs(x[:, None] - a * js), 0)
+    from_y = np.where(inside, np.abs(y[:, None] - a * js), 0)
+    if not inside.any():
+        return np.zeros(len(x))
+    it = scaled_bessel_i_all(int(from_x.max()), s)
+    # Mhat depends on |y - aj| only: one batch over the distinct offsets the
+    # group uses, never split, because the quadrature judges convergence
+    # against the batch's largest value.
+    used = np.sort(from_y[inside])
+    offsets = used[np.concatenate(([True], used[1:] != used[:-1]))]
+    mhat = lattice_martingale_batch(lattice, offsets, t, tol=tol)
+    terms = np.where(inside,
+                     it[from_x] * mhat[np.searchsorted(offsets, from_y)], 0.0)
+    return np.array(list(map(math.fsum, terms.tolist())))
 
 
 # ---------------------------------------------------------------------------
 # stationary kernel
 # ---------------------------------------------------------------------------
 
-def kernel_stationary(rho: float, dt: float, dx: int, gauge: str = "prob", *,
-                      tol: float = 1e-13) -> float:
-    """Stationary kernel at density rho as a function of the displacement.
+def _stationary_bands(rho: float, dt, dx, *, tol: float) -> np.ndarray:
+    # The prob-gauge stationary kernel, backward term included, one vector
+    # quadrature per distinct dt: int_0^rho cos(u*pi*dx) exp(dt*(1 -
+    # cos(u*pi))) du for dt > 0, minus the same over [rho, 1] for dt < 0
+    # (not int_0^rho - p(-dt, dx), which cancels two terms of size
+    # ~1/sqrt(|dt|) down to one of size ~e^{-|dt|}); sine kernel at dt = 0.
+    out = np.empty(len(dt))
+    for (dtv,), idx in _groups(dt):
+        n = dx[idx]
+        if dtv == 0.0:
+            out[idx] = [sine_kernel(rho, v) for v in n.tolist()]
+            continue
 
-    Equal times give the sine kernel; for dt != 0 the two gauges read
+        def integrand(u, dtv=dtv, n=n):
+            u = u[:, None]
+            return np.cos(u * math.pi * n) * np.exp(dtv * (1.0 - np.cos(u * math.pi)))
 
-        prob:   +- int cos(u*pi*dx) exp( dt*(1 - cos(u*pi))) du
-        paper:  +- int cos(u*pi*dx) exp(-dt*cos(u*pi)) du
-
-    over [0, rho] with "+" for dt > 0 and over [rho, 1] with "-" for
-    dt < 0 (they differ by the gauge factor e^{dt}).
-    """
-    _check_gauge(gauge)
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"density must be in (0, 1), got {rho}")
-    dt = float(dt)
-    dx = int(dx)
-    if dt == 0.0:
-        return sine_kernel(rho, dx)
-
-    if gauge == "prob":
-        def integrand(u):
-            return np.cos(u * math.pi * dx) * np.exp(dt * (1.0 - np.cos(u * math.pi)))
-    else:
-        def integrand(u):
-            return np.cos(u * math.pi * dx) * np.exp(-dt * np.cos(u * math.pi))
-
-    if dt > 0:
-        return gauss_legendre(integrand, 0.0, rho, tol=tol)
-    return -gauss_legendre(integrand, rho, 1.0, tol=tol)
+        lo, hi, sign = (0.0, rho, 1.0) if dtv > 0 else (rho, 1.0, -1.0)
+        out[idx] = sign * gauss_legendre(integrand, lo, hi, tol=tol)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# gauge handling and the tagged kernel choice
+# the tagged kernel choice
 # ---------------------------------------------------------------------------
-
-def gauge_transform(kernel: Callable[[tuple, tuple], float],
-                    f: Callable[[float, int], float]):
-    """Kernel (p, q) -> f(q)/f(p) * K(p, q) for a positive weight f(t, x).
-
-    Correlation determinants over matched point sets are unchanged by this
-    transformation; f(t, x) = e^{-t} maps the "prob" gauge to "paper".
-    """
-
-    def transformed(p, q):
-        sp = as_point(p)
-        sq = as_point(q)
-        fp = f(sp.t, sp.x)
-        fq = f(sq.t, sq.x)
-        if not (fp > 0.0 and fq > 0.0):
-            raise ValueError(
-                f"gauge weight must be positive, got f{tuple(sp)}={fp}, f{tuple(sq)}={fq}")
-        return fq / fp * kernel(sp, sq)
-
-    return transformed
-
 
 @dataclass(frozen=True)
 class StationarySpec:
@@ -342,26 +287,60 @@ class KernelSpec:
     gauge: str = "prob"
 
     def __post_init__(self):
-        _check_gauge(self.gauge)
+        if self.gauge not in GAUGES:
+            raise ValueError(f"gauge must be one of {GAUGES}, got {self.gauge!r}")
         if not isinstance(self.variant,
                           (FiniteConfiguration, LatticeSpec, StationarySpec)):
             raise TypeError(f"unsupported kernel variant {self.variant!r}")
 
-    def evaluate(self, p, q, *, eps_tail: float | None = None,
-                 tol: float | None = None,
-                 method: str | None = None) -> float:
-        if isinstance(self.variant, FiniteConfiguration):
-            return kernel_finite(self.variant, p, q, self.gauge)
-        if isinstance(self.variant, LatticeSpec):
-            kw = {k: v for k, v in
-                  (("eps_tail", eps_tail), ("tol", tol), ("method", method))
-                  if v is not None}
-            return kernel_lattice(self.variant, p, q, self.gauge, **kw)
-        sp = as_point(p)
-        sq = as_point(q)
-        kw = {} if tol is None else {"tol": tol}
-        return kernel_stationary(self.variant.rho, sq.t - sp.t, sq.x - sp.x,
-                                 self.gauge, **kw)
+    def values(self, ps: Sequence[SpaceTimePoint],
+               qs: Sequence[SpaceTimePoint], *, eps_tail: float = 1e-14,
+               tol: float = 1e-13, method: str = "auto") -> np.ndarray:
+        """K(ps[i], qs[i]) for every i, as one array.
+
+        In the "prob" gauge every variant reads
+
+            K(s,x;t,y) = S(s,x;t,y) - 1(s>t) p(s-t, x|y),
+
+        with S the variant's sum over initial sites: sum_j p(s, x|u_j)
+        M_j(t, y) for a finite configuration (guarded: ``ConvergenceError``
+        when cancellation in the martingale series could cost more than
+        ~1e-10 absolute), the lattice sum over a*Z (``method`` "sum",
+        "spectral" or "auto", with ``eps_tail`` its site truncation), or
+        the stationary band integral int_0^rho (``tol`` is the quadrature
+        tolerance; for s > t the whole kernel is minus the complementary
+        band int_rho^1).  The "paper" gauge multiplies by e^{s-t}.  Work
+        shared between entries (Bessel tables, martingale rows, quadratures)
+        is done once per batch, so callers pass every entry they need at
+        once.
+        """
+        s, x = _split_points(ps)
+        t, y = _split_points(qs)
+        if len(s) != len(t):
+            raise ValueError(f"got {len(s)} first points, {len(t)} second")
+        if method not in ("auto", "sum", "spectral"):
+            raise ValueError(f"method must be sum|spectral|auto, got {method!r}")
+        if not len(s):
+            return np.zeros(0)
+        variant = self.variant
+        if isinstance(variant, FiniteConfiguration):
+            out = _finite_sums(variant, s, x, t, y)
+        elif isinstance(variant, LatticeSpec):
+            out = np.empty(len(s))
+            for (sv, tv), idx in _groups(s, t):
+                out[idx] = _lattice_sums(variant, sv, x[idx], tv, y[idx],
+                                         eps_tail=eps_tail, tol=tol,
+                                         method=method)
+        else:
+            out = _stationary_bands(variant.rho, t - s, y - x, tol=tol)
+        # the stationary band integral already holds the backward term
+        back = (s > t) & (not isinstance(variant, StationarySpec))
+        if back.any():
+            out[back] -= _bessel_rows(s[back] - t[back],
+                                      np.abs(x[back] - y[back]))
+        if self.gauge == "paper":
+            out *= np.exp(s - t)
+        return out
 
     @classmethod
     def parse(cls, text: str, gauge: str = "prob") -> "KernelSpec":

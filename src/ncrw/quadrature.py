@@ -16,17 +16,37 @@ shape ``(...)``).
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _legendre_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Newton iteration on the positive roots of P_n from Tricomi's guesses,
+    # P_n and P_{n-1} by the three-term recurrence: O(n) memory, where a
+    # companion-matrix eigensolve holds an n x n matrix.
+    m = (n + 1) // 2
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (n + 0.5))
+    while True:
+        p_prev, p = np.ones(m), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], cached."""
     got = _leggauss_cache.get(n)
     if got is None:
-        got = leggauss(n)
+        x, w = _legendre_roots(n)
+        nodes = np.concatenate((-x, x[::-1][n % 2:]))
+        weights = np.concatenate((w, w[::-1][n % 2:]))
+        got = (nodes, weights * (2.0 / weights.sum()))
         got[0].setflags(write=False)
         got[1].setflags(write=False)
         _leggauss_cache[n] = got

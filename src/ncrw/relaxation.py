@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import (LatticeSpec, kernel_lattice, kernel_stationary,
+from .kernels import (KernelSpec, LatticeSpec, StationarySpec,
                       remainder_branches)
 from .quadrature import _leggauss
 
@@ -39,20 +39,6 @@ def remainder_damping_max(lattice: LatticeSpec, s_scale: float = 1.0, *,
         damp = np.exp(s_scale * (np.cos(theta / a) - np.cos(lam / a)))
         worst = max(worst, float(damp.max()))
     return worst
-
-
-def relaxation_gap(lattice: LatticeSpec, s: float, x: int, t: float, y: int,
-                   tau: float, *, tol: float = 1e-13) -> float:
-    """|K_lattice(s+tau, x; t+tau, y) - K_stationary(t-s, y-x)| at rho = 1/a.
-
-    Both kernels in the probability gauge, so the comparison is
-    gauge-consistent.
-    """
-    if tau < 0:
-        raise ValueError(f"shift must be >= 0, got {tau}")
-    lat = kernel_lattice(lattice, (s + tau, x), (t + tau, y), "prob", tol=tol)
-    sta = kernel_stationary(lattice.density, t - s, y - x, "prob", tol=tol)
-    return abs(lat - sta)
 
 
 @dataclass(frozen=True)
@@ -80,12 +66,12 @@ class RelaxationReport:
 def relaxation_sweep(lattice: LatticeSpec,
                      displacements: Sequence[tuple[float, int]],
                      tau_grid: Sequence[float], *, base_site: int = 0,
-                     tol: float = 1e-13, threads: int = 1) -> RelaxationReport:
+                     tol: float = 1e-13) -> RelaxationReport:
     """Evaluate the gap matrix over (tau, displacement) cells.
 
     Each displacement (dt, dx) compares K(tau + base, x0; tau + base + dt,
-    x0 + dx) with the stationary value; cells are independent and may be
-    computed by a thread pool, assembled in deterministic order.
+    x0 + dx) with the stationary value, both in the probability gauge.
+    Every lattice cell of the sweep is one entry of a single kernel batch.
     """
     taus = tuple(float(v) for v in tau_grid)
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -93,30 +79,15 @@ def relaxation_sweep(lattice: LatticeSpec,
     if any(v < 0 for v in taus):
         raise ValueError("tau grid must be >= 0")
     disp = tuple((float(dt), int(dx)) for dt, dx in displacements)
-    rho = lattice.density
-    stationary = np.array([kernel_stationary(rho, dt, dx, "prob", tol=tol)
-                           for dt, dx in disp])
-
-    def cell(tau, dt, dx):
-        if dt < 0:
-            s, t = tau - dt, tau
-        else:
-            s, t = tau, tau + dt
-        return kernel_lattice(lattice, (s, base_site),
-                              (t, base_site + dx), "prob", tol=tol)
-
-    jobs = [(i, j, tau, dt, dx) for i, tau in enumerate(taus)
-            for j, (dt, dx) in enumerate(disp)]
-    lattice_vals = np.empty((len(taus), len(disp)))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: cell(*job[2:]), jobs))
-        for (i, j, *_), val in zip(jobs, results):
-            lattice_vals[i, j] = val
-    else:
-        for i, j, tau, dt, dx in jobs:
-            lattice_vals[i, j] = cell(tau, dt, dx)
+    # dt < 0 puts the first point later: s = tau - dt, t = tau
+    starts = [(max(-dt, 0.0), base_site) for dt, _ in disp]
+    ends = [(max(dt, 0.0), base_site + dx) for dt, dx in disp]
+    stationary = KernelSpec(StationarySpec(lattice.density)).values(
+        starts, ends, tol=tol)
+    lattice_vals = KernelSpec(lattice).values(
+        [(tau + s, x) for tau in taus for s, x in starts],
+        [(tau + t, y) for tau in taus for t, y in ends],
+        tol=tol).reshape(len(taus), len(disp))
     gaps = np.abs(lattice_vals - stationary[None, :])
     return RelaxationReport(lattice, disp, taus, base_site,
                             lattice_vals, stationary, gaps)

@@ -25,10 +25,8 @@ import numpy as np
 from .bessel import (scaled_bessel_i_all, transition_probability,
                      transition_probability_poisson,
                      transition_probability_quadrature, truncation_radius)
-from .correlations import correlation_from_points
-from .kernels import (KernelSpec, LatticeSpec, StationarySpec, kernel_finite,
-                      kernel_lattice, kernel_stationary,
-                      equal_time_kernel_matrix, sine_kernel)
+from .correlations import correlation_from_points, kernel_matrix
+from .kernels import KernelSpec, LatticeSpec, StationarySpec, sine_kernel
 from .martingales import (FiniteConfiguration, lagrange_basis,
                           martingale_polynomial, site_martingale_row,
                           vandermonde)
@@ -142,7 +140,7 @@ def check_equal_time_projection() -> CheckResult:
         for t in (0.5, 1.0, 2.0):
             radius = truncation_radius(t, 1e-24) + 4
             window = range(min(sites) - radius, max(sites) + radius + 1)
-            kt = equal_time_kernel_matrix(config, t, window)
+            kt = kernel_matrix(KernelSpec(config), [(t, x) for x in window])
             worst_proj = max(worst_proj, float(np.abs(kt @ kt - kt).max()))
             worst_trace = max(worst_trace,
                               abs(float(np.trace(kt)) - len(sites)))
@@ -183,16 +181,14 @@ def check_lattice_from_finite() -> CheckResult:
     stated acceptance threshold 1e-6 applies at L = 40.
     """
     started = time.perf_counter()
-    lattice = LatticeSpec(2)
-    target = {(x, y): kernel_lattice(lattice, (0.5, x), (0.5, y))
-              for x in (0, 1) for y in (0, 1)}
+    points = [(0.5, 0), (0.5, 1)]
+    target = kernel_matrix(KernelSpec(LatticeSpec(2)), points)
     errs = []
     for half_width in (10, 20, 40):
         config = FiniteConfiguration.equidistant(2, half_width)
-        errs.append({xy: abs(kernel_finite(config, (0.5, xy[0]), (0.5, xy[1]))
-                             - target[xy]) for xy in target})
-    monotone = all(errs[0][xy] > errs[1][xy] > errs[2][xy] for xy in target)
-    final = max(errs[2].values())
+        errs.append(np.abs(kernel_matrix(KernelSpec(config), points) - target))
+    monotone = bool(np.all((errs[0] > errs[1]) & (errs[1] > errs[2])))
+    final = float(errs[2].max())
     ok = monotone and final <= 1e-6
     return _finish(
         "lattice-from-finite-convergence", started, ok,
@@ -232,9 +228,11 @@ def check_stationary_identities() -> CheckResult:
 
             rhs = gauss_legendre(integrand, 0.0, 1.0)
             worst_rewrite = max(worst_rewrite, abs(lhs - rhs))
+    ns = range(-10, 11)
     exact = all(
-        kernel_stationary(rho, 0.0, n) == sine_kernel(rho, n)
-        for rho in (0.5, 1.0 / 3.0) for n in range(-10, 11))
+        KernelSpec(StationarySpec(rho)).values(
+            [(0.0, 0)] * len(ns), [(0.0, n) for n in ns]).tolist()
+        == [sine_kernel(rho, n) for n in ns] for rho in (0.5, 1.0 / 3.0))
     ok = worst_rewrite <= 1e-12 and exact
     return _finish("stationary-kernel-identities", started, ok,
                    f"rewrite residual {worst_rewrite:.2e} (tol 1e-12), "

@@ -6,6 +6,10 @@ signed Bessel transform summed ring by ring for site martingales (in
 double precision, and at 60 digits with mpmath), a jump-chain level
 simulation for exit probabilities, and per-sample walk paths with a
 jump-by-jump exit-time loop as the reference for the block sampler.
+It also holds small functions the package does not export, kept as
+references for the tests: signed Bessel values, the characteristic
+function, Esscher weights, the sinc basis, gauge transforms and the
+relaxation gap of a single cell.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncrw.bessel import scaled_bessel_i_all
+from ncrw.bessel import scaled_bessel_i, scaled_bessel_i_all
 from ncrw.errors import ConvergenceError
-from ncrw.martingales import FiniteConfiguration, lagrange_basis
+from ncrw.kernels import KernelSpec, SpaceTimePoint, StationarySpec
+from ncrw.martingales import FiniteConfiguration, LatticeSpec, lagrange_basis
 
 
 def bessel_series(n: int, z: float) -> float:
@@ -44,6 +49,26 @@ def bessel_series(n: int, z: float) -> float:
 
 def scaled_bessel_series(n: int, t: float) -> float:
     return math.exp(-t) * bessel_series(n, t)
+
+
+def signed_bessel_i(n: int, z: float) -> float:
+    """I_n(z) for any real z, via the parity I_n(-t) = (-1)^n I_n(t)."""
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z}")
+    mag = math.exp(abs(z)) * scaled_bessel_i(n, abs(z))
+    if z < 0 and n % 2 == 1:
+        return -mag
+    return mag
+
+
+def characteristic_function(t: float, z: complex) -> complex:
+    """E[e^{izV(t)}] = exp(t (cos z - 1)) for the continuous-time walk."""
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"time argument must be finite and >= 0, got {t}")
+    zc = complex(z)
+    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
+        raise ValueError(f"argument must be finite, got {z}")
+    return complex(np.exp(t * (np.cos(zc) - 1.0)))
 
 
 def poissonized_walk_probability(t: float, d: int, *, eps: float = 1e-20) -> float:
@@ -88,6 +113,63 @@ def survival_probability_jump_chain(u: tuple[int, ...], horizon: float,
         hits += alive
     p = hits / n_samples
     return p, math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
+
+
+# ---------------------------------------------------------------------------
+# martingale and kernel helpers used only as references
+# ---------------------------------------------------------------------------
+
+def esscher_weight(alpha: float, t: float, x: int) -> float:
+    """Exponential martingale exp(alpha*x - t*(cosh(alpha) - 1))."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"tilt parameter must be finite, got {alpha}")
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    return math.exp(alpha * x - t * (math.cosh(alpha) - 1.0))
+
+
+def lattice_basis(lattice: LatticeSpec, k: int, z: float) -> float:
+    """sin(pi(z/a - k)) / (pi(z/a - k)): Lagrange basis of the lattice a*Z."""
+    c = math.pi * (z / lattice.a - k)
+    if abs(c) < 1e-4:
+        c2 = c * c
+        return 1.0 - c2 / 6.0 * (1.0 - c2 / 20.0 * (1.0 - c2 / 42.0))
+    return math.sin(c) / c
+
+
+def gauge_transform(kernel, f):
+    """Kernel (p, q) -> f(q)/f(p) * K(p, q) for a positive weight f(t, x).
+
+    Correlation determinants over matched point sets are unchanged by this
+    transformation; f(t, x) = e^{-t} maps the "prob" gauge to "paper".
+    """
+
+    def transformed(p, q):
+        sp = SpaceTimePoint(float(p[0]), int(p[1]))
+        sq = SpaceTimePoint(float(q[0]), int(q[1]))
+        fp = f(sp.t, sp.x)
+        fq = f(sq.t, sq.x)
+        if not (fp > 0.0 and fq > 0.0):
+            raise ValueError(
+                f"gauge weight must be positive, got f{tuple(sp)}={fp}, f{tuple(sq)}={fq}")
+        return fq / fp * kernel(sp, sq)
+
+    return transformed
+
+
+def relaxation_gap(lattice: LatticeSpec, s: float, x: int, t: float, y: int,
+                   tau: float, *, tol: float = 1e-13) -> float:
+    """|K_lattice(s+tau, x; t+tau, y) - K_stationary(t-s, y-x)| at rho = 1/a.
+
+    Both kernels in the probability gauge, so the comparison is
+    gauge-consistent.
+    """
+    if tau < 0:
+        raise ValueError(f"shift must be >= 0, got {tau}")
+    lat = KernelSpec(lattice).values([(s + tau, x)], [(t + tau, y)], tol=tol)
+    sta = KernelSpec(StationarySpec(lattice.density)).values(
+        [(s, x)], [(t, y)], tol=tol)
+    return abs(float(lat[0] - sta[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from ncrw.montecarlo import (OccupationProduct, One, absorbed_weight_mean,
 from ncrw import selftest as st
 
 XFAIL_C7_REASON = (
-    "spec defect: kernel_finite(2Z within [-40,40]) differs from "
-    "kernel_lattice(2) by up to 7.8e-3 over the four (x, y) pairs at "
+    "spec defect: the finite kernel of 2Z within [-40,40] differs from "
+    "the lattice kernel of 2Z by up to 7.8e-3 over the four (x, y) pairs at "
     "s=t=0.5, 3.8-3.9e-3 on the diagonal (convergence is O(1/L); both "
     "kernels cross-validated independently), so the 1e-6 threshold at "
     "L=40 is unattainable; monotone decrease does hold")

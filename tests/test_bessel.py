@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ncrw import quadrature
-from ncrw.bessel import (characteristic_function, scaled_bessel_i,
-                         scaled_bessel_i_all, signed_bessel_i,
+from ncrw.bessel import (scaled_bessel_i, scaled_bessel_i_all,
                          transition_probability,
                          transition_probability_poisson,
                          transition_probability_quadrature,
@@ -13,7 +12,8 @@ from ncrw.bessel import (characteristic_function, scaled_bessel_i,
 
 from ncrw.errors import ConvergenceError
 
-from oracles import poissonized_walk_probability, scaled_bessel_series
+from oracles import (characteristic_function, poissonized_walk_probability,
+                     scaled_bessel_series, signed_bessel_i)
 
 
 def test_scaled_bessel_at_zero():
@@ -137,6 +137,17 @@ def test_gauss_legendre_stops_at_node_cap(monkeypatch):
         quadrature.gauss_legendre(lambda x: np.cos(5000.0 * x), 0.0, 1.0,
                                   max_nodes=128)
     assert max(quadrature._leggauss_cache) == 128
+
+
+@pytest.mark.parametrize("n", [32, 33, 64, 128, 256, 512, 1024, 2048])
+def test_gauss_legendre_nodes_match_numpy(n):
+    # Newton nodes against numpy's companion-matrix eigensolve; weights
+    # agree to 1e-14 up to 512 nodes, 1.1e-13 at 2048
+    x, w = quadrature._leggauss(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - x_ref).max() <= 1e-15
+    assert np.abs(w - w_ref).max() <= (1e-14 if n <= 512 else 2.5e-13)
+    assert abs(w.sum() - 2.0) <= 1e-15
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0])

@@ -9,7 +9,7 @@ import pytest
 
 from ncrw.cli import main
 from ncrw.correlations import MultiTimePointSet, correlation_function
-from ncrw.kernels import KernelSpec, kernel_finite
+from ncrw.kernels import KernelSpec
 from ncrw.martingales import FiniteConfiguration
 from ncrw.montecarlo import BLOCK_SIZE
 
@@ -195,14 +195,14 @@ class TestGlobalBehavior:
         _, out1 = run_cli(first)
         _, out2 = run_cli(["kernel", "--spec", "finite:0,2",
                            "--point", "2.0,-1", "--point", "0.5,3"])
-        assert float(out1) == kernel_finite(config, (0.5, 0), (1.0, 1))
-        assert float(out2) == kernel_finite(config, (2.0, -1), (0.5, 3))
+        spec = KernelSpec(config)
+        assert float(out1) == spec.values([(0.5, 0)], [(1.0, 1)])[0]
+        assert float(out2) == spec.values([(2.0, -1)], [(0.5, 3)])[0]
         groups = ((0.5, (0, 1)), (1.0, (2,)))
         _, out3 = run_cli(["correlation", "--spec", "finite:0,2",
                            "--at", "0.5:0,1", "--at", "1.0:2"])
         _, out4 = run_cli(["correlation", "--spec", "finite:0,2",
                            "--at", "1.0:-1"])
-        spec = KernelSpec(config)
         assert json.loads(out3)["value"] == correlation_function(
             spec, MultiTimePointSet(groups))
         assert json.loads(out4)["points"] == [[1.0, [-1]]]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,18 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrw.bessel import scaled_bessel_i, truncation_radius
+from ncrw.correlations import density_profile, kernel_matrix
 from ncrw.errors import ConvergenceError
 from ncrw.kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
-                          equal_time_kernel_matrix, gauge_transform,
-                          kernel_finite, kernel_lattice, kernel_stationary,
                           lattice_kernel_g, lattice_kernel_remainder,
                           sine_kernel)
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
                               lagrange_basis)
 from ncrw.quadrature import gauss_legendre
-from oracles import kernel_finite_mpmath
+from oracles import gauge_transform, kernel_finite_mpmath
 
 WIDE = FiniteConfiguration.equidistant(2, 20)  # 2Z in [-20, 20], N = 21
+
+
+def kernel_value(variant, p, q, gauge="prob", **opts):
+    """K(p, q) from a batch of one."""
+    return KernelSpec(variant, gauge).values([p], [q], **opts)[0]
+
+
+def stationary_value(rho, dt, dx, gauge="prob"):
+    """Stationary K at displacement (dt, dx), from a batch of one."""
+    p, q = ((0.0, 0), (dt, dx)) if dt >= 0 else ((-dt, 0), (0.0, dx))
+    return kernel_value(StationarySpec(rho), p, q, gauge)
+
+
+def equal_time_matrix(config, t, window):
+    return kernel_matrix(KernelSpec(config), [(t, x) for x in window])
 
 
 def split_form_oracle(config, p, q, eps_tail=1e-16):
@@ -49,10 +64,10 @@ def split_form_oracle(config, p, q, eps_tail=1e-16):
 class TestKernelFinite:
     def test_initial_time_collapse(self):
         c = FiniteConfiguration((0, 2))
-        assert kernel_finite(c, (0, 0), (0, 0)) == 1.0
-        assert kernel_finite(c, (0, 2), (0, 2)) == 1.0
-        assert kernel_finite(c, (0, 1), (0, 1)) == 0.0
-        assert kernel_finite(c, (0, 5), (0, 5)) == 0.0
+        assert kernel_value(c, (0, 0), (0, 0)) == 1.0
+        assert kernel_value(c, (0, 2), (0, 2)) == 1.0
+        assert kernel_value(c, (0, 1), (0, 1)) == 0.0
+        assert kernel_value(c, (0, 5), (0, 5)) == 0.0
 
     @pytest.mark.parametrize("p,q", [
         ((1.0, 0), (1.0, 0)), ((1.0, -1), (1.0, 2)),
@@ -60,15 +75,15 @@ class TestKernelFinite:
     ])
     def test_split_form_oracle(self, p, q):
         c = FiniteConfiguration((0, 2))
-        got = kernel_finite(c, p, q, "paper")
+        got = kernel_value(c, p, q, "paper")
         want = split_form_oracle(c, p, q)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_gauge_factor_exact(self):
         c = FiniteConfiguration((-1, 3))
         p, q = (0.8, 0), (1.7, 2)
-        prob = kernel_finite(c, p, q, "prob")
-        paper = kernel_finite(c, p, q, "paper")
+        prob = kernel_value(c, p, q, "prob")
+        paper = kernel_value(c, p, q, "paper")
         assert prob == pytest.approx(paper * math.exp(q[0] - p[0]),
                                      rel=1e-12)
 
@@ -89,15 +104,15 @@ class TestKernelFinite:
                         float(cf) * martingale_polynomial(n, t, float(y))
                         for n, cf in enumerate(coeffs)) / scale
                     oracle += scaled_bessel_i(abs(x - uj), s) * m_val
-                got = kernel_finite(c, (s, x), (t, y))
+                got = kernel_value(c, (s, x), (t, y))
                 assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_rejects_bad_gauge_and_points(self):
         c = FiniteConfiguration((0, 2))
         with pytest.raises(ValueError):
-            kernel_finite(c, (0.5, 0), (0.5, 1), "weird")
+            kernel_value(c, (0.5, 0), (0.5, 1), "weird")
         with pytest.raises(ValueError):
-            kernel_finite(c, (-0.5, 0), (0.5, 1))
+            kernel_value(c, (-0.5, 0), (0.5, 1))
 
 
 class TestEqualTimeProjection:
@@ -107,18 +122,18 @@ class TestEqualTimeProjection:
         c = FiniteConfiguration(sites)
         radius = truncation_radius(t, 1e-24) + 4
         window = range(min(sites) - radius, max(sites) + radius + 1)
-        kt = equal_time_kernel_matrix(c, t, window)
+        kt = equal_time_matrix(c, t, window)
         assert np.abs(kt @ kt - kt).max() < 1e-8
         assert np.trace(kt) == pytest.approx(len(sites), abs=1e-8)
 
     def test_matrix_matches_pointwise(self):
         c = FiniteConfiguration((0, 2))
         window = range(-4, 7)
-        kt = equal_time_kernel_matrix(c, 1.0, window)
+        kt = equal_time_matrix(c, 1.0, window)
         for i, x in enumerate(window):
             for j, y in enumerate(window):
                 assert kt[i, j] == pytest.approx(
-                    kernel_finite(c, (1.0, x), (1.0, y)), abs=1e-12)
+                    kernel_value(c, (1.0, x), (1.0, y)), abs=1e-12)
 
 
 def window_around(sites, t):
@@ -133,30 +148,30 @@ class TestFiniteLargeTime:
     @pytest.mark.parametrize("t", [14.0, 22.0, 50.0])
     def test_projection_and_trace(self, t):
         sites = (0, 2, 5)
-        kt = equal_time_kernel_matrix(FiniteConfiguration(sites), t,
-                                      window_around(sites, t))
+        kt = equal_time_matrix(FiniteConfiguration(sites), t,
+                               window_around(sites, t))
         assert np.trace(kt) == pytest.approx(3.0, abs=1e-12)
         assert np.abs(kt @ kt - kt).max() < 1e-12
 
     def test_mpmath_oracle(self):
         c = FiniteConfiguration((0, 2, 5))
-        assert kernel_finite(c, (14.0, 1), (14.0, 1)) == pytest.approx(
+        assert kernel_value(c, (14.0, 1), (14.0, 1)) == pytest.approx(
             0.14767246884563603, abs=1e-10)
         for p, q in [((14.0, 1), (14.0, 1)), ((13.0, -2), (14.5, 4)),
                      ((15.0, 3), (12.0, 0))]:
             want = kernel_finite_mpmath(c.sites, *p, *q)
-            assert kernel_finite(c, p, q) == pytest.approx(want, abs=1e-10)
+            assert kernel_value(c, p, q) == pytest.approx(want, abs=1e-10)
 
     def test_wide_configuration_mpmath_value(self):
         # kernel_finite_mpmath(WIDE.sites, 25, 0, 25, 0) at 60 digits
-        assert kernel_finite(WIDE, (25.0, 0), (25.0, 0)) == pytest.approx(
+        assert kernel_value(WIDE, (25.0, 0), (25.0, 0)) == pytest.approx(
             0.2745580094176918, abs=1e-10)
 
     def test_wide_configuration_refused_when_cancellation_wins(self):
         with pytest.raises(ConvergenceError):
-            kernel_finite(WIDE, (50.0, 0), (50.0, 0))
+            kernel_value(WIDE, (50.0, 0), (50.0, 0))
         with pytest.raises(ConvergenceError):
-            equal_time_kernel_matrix(WIDE, 50.0, range(-3, 4))
+            equal_time_matrix(WIDE, 50.0, range(-3, 4))
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -166,8 +181,8 @@ class TestFiniteLargeTime:
     def test_trace_and_densities_or_refusal(self, sites, t):
         sites = tuple(sorted(sites))
         try:
-            kt = equal_time_kernel_matrix(FiniteConfiguration(sites), t,
-                                          window_around(sites, t))
+            kt = equal_time_matrix(FiniteConfiguration(sites), t,
+                                   window_around(sites, t))
         except ConvergenceError:
             return
         rho = np.diag(kt)
@@ -178,10 +193,10 @@ class TestFiniteLargeTime:
 class TestKernelLattice:
     def test_initial_time_collapse(self):
         lat = LatticeSpec(2)
-        assert kernel_lattice(lat, (0, 0), (0, 0)) == pytest.approx(1.0)
-        assert kernel_lattice(lat, (0, 1), (0, 1)) == pytest.approx(
+        assert kernel_value(lat, (0, 0), (0, 0)) == pytest.approx(1.0)
+        assert kernel_value(lat, (0, 1), (0, 1)) == pytest.approx(
             0.0, abs=1e-14)
-        assert kernel_lattice(lat, (0, -4), (0, -4)) == pytest.approx(1.0)
+        assert kernel_value(lat, (0, -4), (0, -4)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("pt", [
         ((0.5, 0), (0.5, 0)), ((0.5, 0), (0.5, 1)), ((0.3, 1), (0.9, 0)),
@@ -190,82 +205,100 @@ class TestKernelLattice:
     def test_sum_and_spectral_routes_agree(self, pt):
         lat = LatticeSpec(2)
         p, q = pt
-        a = kernel_lattice(lat, p, q, method="sum")
-        b = kernel_lattice(lat, p, q, method="spectral")
+        a = kernel_value(lat, p, q, method="sum")
+        b = kernel_value(lat, p, q, method="spectral")
         assert a == pytest.approx(b, abs=1e-11)
 
     def test_spacing_three_routes_agree(self):
         lat = LatticeSpec(3)
         for p, q in [((0.5, 0), (0.5, 1)), ((1.0, 2), (2.0, 0))]:
-            a = kernel_lattice(lat, p, q, method="sum")
-            b = kernel_lattice(lat, p, q, method="spectral")
+            a = kernel_value(lat, p, q, method="sum")
+            b = kernel_value(lat, p, q, method="spectral")
             assert a == pytest.approx(b, abs=1e-11)
 
     def test_auto_switches_to_spectral(self):
         # far beyond the site-sum regime: still finite, near stationary
         lat = LatticeSpec(2)
-        v = kernel_lattice(lat, (64.0, 0), (64.0, 0))
+        v = kernel_value(lat, (64.0, 0), (64.0, 0))
         assert abs(v - 0.5) < 3e-3
 
     def test_finite_window_convergence_monotone(self):
         lat = LatticeSpec(2)
         for x, y in [(0, 0), (0, 1), (1, 1)]:
-            target = kernel_lattice(lat, (0.5, x), (0.5, y))
-            errs = [abs(kernel_finite(FiniteConfiguration.equidistant(2, L),
-                                      (0.5, x), (0.5, y)) - target)
+            target = kernel_value(lat, (0.5, x), (0.5, y))
+            errs = [abs(kernel_value(FiniteConfiguration.equidistant(2, L),
+                                     (0.5, x), (0.5, y)) - target)
                     for L in (10, 20, 40)]
             assert errs[0] > errs[1] > errs[2]
 
     def test_gauge_factor_exact(self):
         lat = LatticeSpec(2)
         p, q = (0.8, 0), (1.7, 1)
-        prob = kernel_lattice(lat, p, q, "prob")
-        paper = kernel_lattice(lat, p, q, "paper")
+        prob = kernel_value(lat, p, q, "prob")
+        paper = kernel_value(lat, p, q, "paper")
         assert prob == pytest.approx(paper * math.exp(q[0] - p[0]),
                                      rel=1e-12)
 
+    def test_far_pair_refused_on_a_small_batch(self):
+        # the site sum integrates only the offsets near |y - x|, so an
+        # unreachable far pair fails its quadrature without allocating
+        # node tables over every offset from 0 to 100000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError):
+                kernel_value(LatticeSpec(2), (0.5, 0), (0.5, 100000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
     def test_method_guard(self):
         with pytest.raises(ValueError):
-            kernel_lattice(LatticeSpec(2), (0.5, 0), (0.5, 0),
+            kernel_value(LatticeSpec(2), (0.5, 0), (0.5, 0),
                            method="magic")
 
 
 class TestKernelStationary:
     def test_equal_time_closed_form(self):
-        assert kernel_stationary(0.5, 0.0, 0) == 0.5
-        assert kernel_stationary(0.5, 0.0, 1) == pytest.approx(1.0 / math.pi)
+        assert stationary_value(0.5, 0.0, 0) == 0.5
+        assert stationary_value(0.5, 0.0, 1) == pytest.approx(1.0 / math.pi)
         for rho in (0.5, 1.0 / 3.0):
             for n in range(-10, 11):
-                assert kernel_stationary(rho, 0.0, n) == sine_kernel(rho, n)
+                assert stationary_value(rho, 0.0, n) == sine_kernel(rho, n)
 
     def test_proof_form_consistency(self):
         # paper-gauge value equals e^{-dt} times the principal band
         # integral of the folded lattice kernel at rho = 1/a
         lat = LatticeSpec(2)
-        got = kernel_stationary(0.5, 0.7, 2, "paper")
+        got = stationary_value(0.5, 0.7, 2, "paper")
         g = lattice_kernel_g(lat, 0.7, 2)
         assert got == pytest.approx(math.exp(-0.7) * g, abs=1e-10)
 
     def test_backward_branch_sign(self):
         # dt < 0 branch: minus the complementary frequency window
-        rho, dt, dx = 0.4, -1.3, 1
+        self.test_backward_branch_large_lag(0.4, -1.3, 1)
 
+    @pytest.mark.parametrize("rho, dt, dx", [(0.5, -30.0, 0), (0.5, -40.0, 0),
+                                             (0.5, -40.0, 3)])
+    def test_backward_branch_large_lag(self, rho, dt, dx):
+        # the paper gauge multiplies the prob value by e^{|dt|}, so the value
+        # must not come from a cancellation of two O(1) terms
         def integrand(u):
             return np.cos(u * math.pi * dx) * np.exp(-dt * np.cos(u * math.pi))
 
         want = -gauss_legendre(integrand, rho, 1.0)
-        assert kernel_stationary(rho, dt, dx, "paper") == pytest.approx(
+        assert stationary_value(rho, dt, dx, "paper") == pytest.approx(
             want, rel=1e-12)
 
     def test_gauge_factor(self):
-        v_prob = kernel_stationary(0.5, 0.9, 1, "prob")
-        v_paper = kernel_stationary(0.5, 0.9, 1, "paper")
+        v_prob = stationary_value(0.5, 0.9, 1, "prob")
+        v_paper = stationary_value(0.5, 0.9, 1, "paper")
         assert v_prob == pytest.approx(v_paper * math.exp(0.9), rel=1e-12)
 
     def test_density_guard(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
-                kernel_stationary(bad, 0.0, 0)
+                stationary_value(bad, 0.0, 0)
             with pytest.raises(ValueError):
                 sine_kernel(bad, 0)
 
@@ -279,18 +312,18 @@ class TestKernelStationary:
 class TestGaugeTransform:
     def test_identity_weight(self):
         c = FiniteConfiguration((0, 2))
-        base = lambda p, q: kernel_finite(c, p, q)
+        base = lambda p, q: kernel_value(c, p, q)
         k2 = gauge_transform(base, lambda t, x: 1.0)
         p, q = (0.5, 0), (1.0, 1)
         assert k2(p, q) == base(p, q)
 
     def test_exponential_weight_maps_gauges(self):
         c = FiniteConfiguration((0, 2))
-        prob = lambda p, q: kernel_finite(c, p, q, "prob")
+        prob = lambda p, q: kernel_value(c, p, q, "prob")
         to_paper = gauge_transform(prob, lambda t, x: math.exp(-t))
         for p, q in [((0.5, 0), (1.0, 1)), ((1.2, 2), (0.4, 0))]:
             assert to_paper(p, q) == pytest.approx(
-                kernel_finite(c, p, q, "paper"), rel=1e-12)
+                kernel_value(c, p, q, "paper"), rel=1e-12)
 
     def test_positive_weight_guard(self):
         base = lambda p, q: 1.0
@@ -303,7 +336,7 @@ class TestGaugeTransform:
         # equal multi-time point sets: determinant unchanged by any gauge
         config = FiniteConfiguration((0, 2))
         points = [(0.4, 0), (0.9, 1), (0.9, 2), (1.3, -1)]
-        base = lambda p, q: kernel_finite(config, p, q)
+        base = lambda p, q: kernel_value(config, p, q)
         warped = gauge_transform(base,
                                  lambda t, x, c=c_exp: math.exp(c * t))
         m1 = np.array([[base(p, q) for q in points] for p in points])
@@ -326,8 +359,8 @@ class TestKernelSpec:
 
     def test_stationary_evaluate_depends_on_displacement_only(self):
         s = KernelSpec(StationarySpec(0.5))
-        v1 = s.evaluate((0.25, 2), (1.0, 4))
-        v2 = s.evaluate((5.25, -7), (6.0, -5))
+        v1 = s.values([(0.25, 2)], [(1.0, 4)])[0]
+        v2 = s.values([(5.25, -7)], [(6.0, -5)])[0]
         assert v1 == v2  # same (dt, dx): identical code path and value
 
     def test_evaluate_passes_tolerances(self):
@@ -335,18 +368,70 @@ class TestKernelSpec:
         p, q = (0.5, 0), (1.0, 1)
         for opts in ({"eps_tail": 1e-10}, {"tol": 1e-9},
                      {"method": "spectral"}):
-            assert s.evaluate(p, q, **opts) == kernel_lattice(
-                LatticeSpec(2), p, q, **opts)
-        loose = s.evaluate(p, q, eps_tail=1e-10)
-        tight = s.evaluate(p, q, eps_tail=1e-15)
+            # kernel_matrix hands its options to values; (p, q) is the only
+            # entry at its (s, t) there, so the two are computed alike
+            assert s.values([p], [q], **opts)[0] == kernel_matrix(
+                s, [p, q], **opts)[0, 1]
+        loose = s.values([p], [q], eps_tail=1e-10)[0]
+        tight = s.values([p], [q], eps_tail=1e-15)[0]
         assert loose != tight
         assert loose == pytest.approx(tight, abs=1e-9)
+        # method picks the route: the two agree, but not bit for bit
+        by_sum = s.values([p], [(3.0, 4)], method="sum")[0]
+        by_spectral = s.values([p], [(3.0, 4)], method="spectral")[0]
+        assert by_sum != by_spectral
+        assert by_sum == pytest.approx(by_spectral, abs=1e-11)
+        # tol decides where node doubling stops at these far points
+        for method, far in (("sum", (0.75, 33)), ("spectral", (0.75, 43))):
+            loose = s.values([p], [far], method=method, tol=1e-9)[0]
+            tight = s.values([p], [far], method=method, tol=1e-13)[0]
+            assert loose != tight
+            assert loose == pytest.approx(tight, abs=1e-12)
 
     def test_point_validation(self):
         assert SpaceTimePoint(1.0, 2) == (1.0, 2)
         with pytest.raises(ValueError):
-            KernelSpec(FiniteConfiguration((0,))).evaluate((1.0, 0.5),
-                                                           (1.0, 0))
+            KernelSpec(FiniteConfiguration((0,))).values([(1.0, 0.5)],
+                                                         [(1.0, 0)])
+
+
+VARIANTS = (FiniteConfiguration((0, 2, 5)), FiniteConfiguration((-3, -1, 4)),
+            LatticeSpec(2), LatticeSpec(3), StationarySpec(0.5),
+            StationarySpec(0.3))
+
+
+class TestBatchedValues:
+    @pytest.mark.parametrize("gauge", ["prob", "paper"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matrix_equals_entries_one_at_a_time(self, variant, gauge):
+        # random times cross the lattice switch (t = 10 at a = 2) and repeat
+        # within the matrix, so batches share tables and quadratures
+        spec = KernelSpec(variant, gauge)
+        rng = np.random.default_rng(11)
+        times = [0.0, 0.75, 2.5] if isinstance(variant, FiniteConfiguration) \
+            else [0.0, 0.75, 2.5, 9.0, 12.0]
+        points = [(float(rng.choice(times)), int(rng.integers(-5, 6)))
+                  for _ in range(8)]
+        mat = kernel_matrix(spec, points)
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                want = spec.values([p], [q])[0]
+                assert abs(mat[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_length_checks(self):
+        spec = KernelSpec(LatticeSpec(2))
+        assert spec.values([], []).shape == (0,)
+        with pytest.raises(ValueError):
+            spec.values([(0.5, 0)], [])
+
+    def test_density_is_diagonal_only(self):
+        # in the prob gauge off-diagonal entries grow like y^{N-1} toward
+        # the window edge: the full matrix is refused, its diagonal is not
+        window = window_around(WIDE.sites, 2.0)
+        rho = density_profile(KernelSpec(WIDE), 2.0, window)
+        assert rho.sum() == pytest.approx(21.0, abs=1e-9)
+        with pytest.raises(ConvergenceError):
+            kernel_matrix(KernelSpec(WIDE), [(2.0, x) for x in window])
 
 
 class TestLatticeSpectralParts:
@@ -354,7 +439,7 @@ class TestLatticeSpectralParts:
         lat = LatticeSpec(2)
         for dt, dx in [(0.0, 0), (0.0, 3), (0.8, 1), (-0.6, 2)]:
             g = lattice_kernel_g(lat, dt, dx)
-            want = kernel_stationary(0.5, dt, dx, "prob")
+            want = stationary_value(0.5, dt, dx, "prob")
             if dt < 0:
                 want += scaled_bessel_i(abs(dx), -dt)
             assert g == pytest.approx(want, abs=1e-12)

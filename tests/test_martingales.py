@@ -7,12 +7,11 @@ import pytest
 from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
-                              esscher_weight, lagrange_basis, lattice_basis,
-                              lattice_martingale, martingale_coefficients,
-                              martingale_polynomial, site_martingale_row,
-                              vandermonde)
+                              lagrange_basis, lattice_martingale_batch,
+                              martingale_coefficients, martingale_polynomial,
+                              site_martingale_row, vandermonde)
 from oracles import (backward_transform, backward_transform_exp,
-                     ring_site_martingale_row)
+                     esscher_weight, lattice_basis, ring_site_martingale_row)
 
 
 def transition_weights(t, center, radius):
@@ -290,12 +289,11 @@ class TestLatticeBasis:
 class TestLatticeMartingale:
     def test_kronecker_at_time_zero(self):
         lat = LatticeSpec(2)
-        assert lattice_martingale(lat, 3, 0.0, 6) == pytest.approx(1.0,
-                                                                   abs=1e-13)
-        assert lattice_martingale(lat, 3, 0.0, 8) == pytest.approx(0.0,
-                                                                   abs=1e-13)
-        assert lattice_martingale(lat, 0, 0.0, 1) == pytest.approx(
-            2.0 / math.pi, abs=1e-13)
+        # offsets y - a*k of (k, y) = (3, 6), (3, 8), (0, 1)
+        m = lattice_martingale_batch(lat, [0, 2, 1], 0.0)
+        assert m[0] == pytest.approx(1.0, abs=1e-13)
+        assert m[1] == pytest.approx(0.0, abs=1e-13)
+        assert m[2] == pytest.approx(2.0 / math.pi, abs=1e-13)
 
     def test_martingale_mean_is_kronecker(self):
         lat = LatticeSpec(2)
@@ -303,6 +301,7 @@ class TestLatticeMartingale:
         radius = truncation_radius(t, 1e-20) + 6
         weights = transition_weights(t, 2 * j, radius)
         for k in (0, 1, 2):
-            total = math.fsum(w * lattice_martingale(lat, k, t, y)
-                              for y, w in weights.items())
+            ys = list(weights)
+            mhat = lattice_martingale_batch(lat, [y - 2 * k for y in ys], t)
+            total = math.fsum(weights[y] * m for y, m in zip(ys, mhat))
             assert total == pytest.approx(float(j == k), abs=1e-8)

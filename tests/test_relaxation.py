@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from ncrw.bessel import (scaled_bessel_i, transition_probability_quadrature)
-from ncrw.kernels import (kernel_lattice, kernel_stationary,
-                          lattice_kernel_g, lattice_kernel_remainder,
-                          sine_kernel)
+from ncrw.kernels import (KernelSpec, StationarySpec, lattice_kernel_g,
+                          lattice_kernel_remainder, sine_kernel)
 from ncrw.martingales import LatticeSpec
 from ncrw.quadrature import gauss_legendre
-from ncrw.relaxation import (RelaxationReport, relaxation_gap,
-                             relaxation_sweep, remainder_damping_max)
+from ncrw.relaxation import (RelaxationReport, relaxation_sweep,
+                             remainder_damping_max)
+from oracles import relaxation_gap
 
 LAT2 = LatticeSpec(2)
+
+
+def kernel_value(lattice, p, q, **opts):
+    return KernelSpec(lattice).values([p], [q], **opts)[0]
 
 
 class TestDecomposition:
@@ -21,7 +25,7 @@ class TestDecomposition:
     ])
     def test_site_sum_equals_principal_plus_remainder(self, s, x, t, y):
         # the defining site sum against the analytically folded form
-        kl = kernel_lattice(LAT2, (s, x), (t, y), method="sum")
+        kl = kernel_value(LAT2, (s, x), (t, y), method="sum")
         indicator = scaled_bessel_i(abs(x - y), s - t) if s > t else 0.0
         got = kl + indicator
         want = lattice_kernel_g(LAT2, t - s, y - x) + \
@@ -31,7 +35,7 @@ class TestDecomposition:
     def test_spacing_three(self):
         lat = LatticeSpec(3)
         s, x, t, y = 1.0, 0, 2.0, 1
-        kl = kernel_lattice(lat, (s, x), (t, y), method="sum")
+        kl = kernel_value(lat, (s, x), (t, y), method="sum")
         want = lattice_kernel_g(lat, t - s, y - x) + \
             lattice_kernel_remainder(lat, s, x, t, y)
         assert kl == pytest.approx(want, abs=1e-8)
@@ -104,13 +108,23 @@ class TestRelaxationSweep:
         with pytest.raises(ValueError):
             relaxation_sweep(LAT2, [(0.0, 0)], (-1.0, 1.0))
 
-    def test_threaded_sweep_identical(self):
-        disp = [(0.0, dx) for dx in range(3)]
-        taus = (2.0, 4.0)
-        r1 = relaxation_sweep(LAT2, disp, taus, threads=1)
-        r4 = relaxation_sweep(LAT2, disp, taus, threads=4)
-        assert np.array_equal(r1.gaps, r4.gaps)
-        assert np.array_equal(r1.lattice_values, r4.lattice_values)
+    def test_sweep_matches_cells_one_at_a_time(self):
+        # one batch over every cell against one values call per cell
+        for lat, dt in ((LAT2, 0.0), (LAT2, -0.5), (LatticeSpec(3), 1.0)):
+            disp = [(dt, dx) for dx in range(-2, 5)]
+            taus = (0.5, 2.0, 8.0, 12.0, 32.0)
+            report = relaxation_sweep(lat, disp, taus)
+            for i, tau in enumerate(taus):
+                for j, (_, dx) in enumerate(disp):
+                    s, t = tau + max(-dt, 0.0), tau + max(dt, 0.0)
+                    want = kernel_value(lat, (s, 0), (t, dx))
+                    assert report.lattice_values[i, j] == pytest.approx(
+                        want, abs=1e-12)
+            for j, (_, dx) in enumerate(disp):
+                want = KernelSpec(StationarySpec(1.0 / lat.a)).values(
+                    [(max(-dt, 0.0), 0)], [(max(dt, 0.0), dx)])[0]
+                assert report.stationary_values[j] == pytest.approx(
+                    want, abs=1e-12)
 
 
 class TestStationaryRewrite:
@@ -130,7 +144,9 @@ class TestStationaryRewrite:
     def test_stationary_equal_time_is_sine_kernel_exactly(self):
         for rho in (0.5, 1.0 / 3.0):
             for n in range(-10, 11):
-                assert kernel_stationary(rho, 0.0, n) == sine_kernel(rho, n)
+                got = KernelSpec(StationarySpec(rho)).values([(0.0, 0)],
+                                                             [(0.0, n)])[0]
+                assert got == sine_kernel(rho, n)
 
     def test_stationary_matches_frequency_integral_route(self):
         # equal-time closed form against the band-limited integral
