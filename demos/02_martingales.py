@@ -6,7 +6,8 @@ time.  The backward heat operator exp(-t(cosh D - 1)) maps monomials to
 them and, applied to the Lagrange basis polynomials of an initial
 configuration, produces the site martingales whose determinant weights
 the noncolliding conditioning.  Those polynomials have degree N - 1, so
-the operator series is a finite sum.
+the operator series is a finite sum, and one ``site_martingale_rows`` call
+gives the rows at a whole batch of sites.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from ncrw import (FiniteConfiguration, martingale_polynomial,
-                  site_martingale_row, scaled_bessel_i_all, truncation_radius)
+                  site_martingale_rows, scaled_bessel_i_all, truncation_radius)
 
 print("martingale polynomials m_n(t, x):")
 for n in range(5):
@@ -36,7 +37,7 @@ print("\nsite martingales as a finite series: expanding each Lagrange basis "
       "same row")
 config = FiniteConfiguration((-1, 0, 3))
 t, y = 1.2, 2
-row, _ = site_martingale_row(config, t, y)
+row = site_martingale_rows(config, t, [y])[0][0]
 for k, uk in enumerate(config.sites):
     others = [v for v in config.sites if v != uk]
     coeffs = np.polynomial.polynomial.polyfromroots(others)
@@ -46,14 +47,14 @@ for k, uk in enumerate(config.sites):
     print(f"  M_{k}({t}, {y}): series {row[k]:+.12f}   "
           f"monomial expansion {expanded:+.12f}")
 
-print("\nsite martingales of the configuration {0, 2, 5}: "
-      "mean row stays the Kronecker delta, also at t = 22")
+print("\nsite martingales of the configuration {0, 2, 5}, every row from one "
+      "batched call:\nmean row stays the Kronecker delta, also at t = 22")
 config = FiniteConfiguration((0, 2, 5))
 for t in (1.0, 22.0):
     radius = truncation_radius(t, 1e-22) + 6
     weights = scaled_bessel_i_all(radius + 5, t)
     ys = range(-radius, 5 + radius + 1)
-    rows = np.array([site_martingale_row(config, t, y)[0] for y in ys])
+    rows = site_martingale_rows(config, t, ys)[0]
     for j, uj in enumerate(config.sites):
         p = np.array([weights[abs(y - uj)] for y in ys])
         means = [math.fsum(p * rows[:, k]) for k in range(len(config))]

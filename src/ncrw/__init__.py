@@ -23,7 +23,7 @@ from .kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
                       lattice_kernel_g, lattice_kernel_remainder, sine_kernel)
 from .martingales import (FiniteConfiguration, LatticeSpec, lagrange_basis,
                           lattice_martingale_batch, martingale_coefficients,
-                          martingale_polynomial, site_martingale_row,
+                          martingale_polynomial, site_martingale_rows,
                           vandermonde)
 from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
                          absorbed_weight_mean, empirical_correlation,
@@ -45,7 +45,7 @@ __all__ = [
     "lattice_kernel_remainder", "sine_kernel",
     "FiniteConfiguration", "LatticeSpec", "lagrange_basis",
     "lattice_martingale_batch", "martingale_coefficients",
-    "martingale_polynomial", "site_martingale_row", "vandermonde",
+    "martingale_polynomial", "site_martingale_rows", "vandermonde",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
     "absorbed_weight_mean", "empirical_correlation", "estimate_many",
     "vandermonde_ratio",

@@ -74,13 +74,21 @@ class CorrelationTable:
         return len(self.entries)
 
 
-def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]],
-                  **opts) -> np.ndarray:
-    """Matrix K(points[i], points[j]), all entries in one batch."""
+def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]], *,
+                  eps_tail: float = 1e-14, tol: float = 1e-13,
+                  method: str = "auto") -> np.ndarray:
+    """Matrix K(points[i], points[j]), all entries in one batch.
+
+    Options as for ``KernelSpec.values``.  A finite configuration's rounding
+    guard judges the matrix as a whole: when some entry misses the absolute
+    budget, the matrix is balanced (K -> D K D^{-1} with D diagonal, which
+    changes no determinant) and refused only if an entry error bound of the
+    balanced matrix still exceeds it.
+    """
     n = len(points)
     pts = np.asarray(points, dtype=float).reshape(n, 2)
-    return spec.values(np.repeat(pts, n, axis=0), np.tile(pts, (n, 1)),
-                       **opts).reshape(n, n)
+    return spec._evaluate(np.repeat(pts, n, axis=0), np.tile(pts, (n, 1)),
+                          True, eps_tail, tol, method).reshape(n, n)
 
 
 def correlation_from_points(spec: KernelSpec,

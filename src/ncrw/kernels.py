@@ -10,6 +10,8 @@ One interface, ``KernelSpec``, tags three kernels with a gauge:
 ``KernelSpec.values(ps, qs)`` is the only evaluation: it returns
 K(ps[i], qs[i]) for a whole batch of point pairs, sharing Bessel tables,
 site-martingale rows and momentum quadratures between the entries.
+``kernel_matrix`` takes the same route and differs only in how the finite
+kernel's rounding guard judges the batch: as one matrix, after balancing.
 
 Each kernel is defined up to a gauge: multiplying K(s,x;t,y) by
 f(t,y)/f(s,x) changes no correlation determinant.  Two conventions are
@@ -38,7 +40,7 @@ import numpy as np
 from .bessel import scaled_bessel_i_all, truncation_radius
 from .errors import ConvergenceError
 from .martingales import (FiniteConfiguration, LatticeSpec,
-                          lattice_martingale_batch, site_martingale_row)
+                          lattice_martingale_batch, site_martingale_rows)
 from .quadrature import gauss_legendre
 
 GAUGES = ("prob", "paper")
@@ -50,6 +52,8 @@ _SPECTRAL_SWITCH = 10.0
 # the same ~1e-10 budget for the finite kernel: refuse a value whose
 # estimated rounding error (see _finite_sums) is larger.
 _ROUNDING_BUDGET = 1e-10
+# sweeps of the balancing iteration that judges refused matrices
+_BALANCE_SWEEPS = 100
 _EPS = float(np.finfo(float).eps)
 
 
@@ -103,26 +107,67 @@ def _bessel_rows(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
 # finite configurations
 # ---------------------------------------------------------------------------
 
-def _finite_sums(config: FiniteConfiguration, s, x, t, y) -> np.ndarray:
-    # sum_j p(s, x|u_j) M_j(t, y) per entry: one Bessel table per distinct s
-    # and one site-martingale row per distinct (t, y).  spread[k] is the sum
-    # of absolute series terms of M_k, so eps * sum_k p(s, x|u_k) spread_k
-    # estimates the rounding error of each entry.
+def _finite_sums(config: FiniteConfiguration, s, x, t, y
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    # sum_j p(s, x|u_j) M_j(t, y) per entry, with an estimate of its
+    # rounding error: one Bessel table per distinct s and one site-martingale
+    # row per distinct (t, y).  spread[k] is the sum of absolute series terms
+    # of M_k, so eps * sum_k p(s, x|u_k) spread_k estimates the rounding
+    # error of each entry (the "bound" B the guard judges).
     weights = _bessel_rows(s, np.abs(x[:, None] - np.asarray(config.sites)))
     rows = np.empty(weights.shape)
     spreads = np.empty(weights.shape)
     for (tv, yv), idx in _groups(t, y):
-        rows[idx], spreads[idx] = site_martingale_row(config, tv, yv)
-    bound = _EPS * np.einsum("ij,ij->i", weights, spreads)
+        rows[idx], spreads[idx] = site_martingale_rows(config, tv, [yv])
+    return (np.einsum("ij,ij->i", weights, rows),
+            _EPS * np.einsum("ij,ij->i", weights, spreads))
+
+
+def _balance(a: np.ndarray) -> np.ndarray:
+    # Osborne's iteration, as in LAPACK's gebal: the diagonal d for which
+    # d_i |a_ij| / d_j has equal off-diagonal row and column sums, found one
+    # index at a time with vector row and column sums, sweeping until no
+    # factor moves by more than 1%.  Rows or columns that are zero off the
+    # diagonal keep d_i = 1.
+    b = np.abs(a)
+    np.fill_diagonal(b, 0.0)
+    d = np.ones(len(b))
+    for _ in range(_BALANCE_SWEEPS):
+        moved = False
+        for i in range(len(b)):
+            row, col = b[i].sum(), b[:, i].sum()
+            if row == 0.0 or col == 0.0:
+                continue
+            f = math.sqrt(col / row)
+            moved |= not 0.99 < f < 1.01
+            b[i] *= f
+            b[:, i] /= f
+            d[i] *= f
+        if not moved:
+            break
+    return d
+
+
+def _rounding_guard(config: FiniteConfiguration, k: np.ndarray,
+                    bound: np.ndarray, t: np.ndarray, matrix: bool) -> None:
+    # Refuse entries whose rounding bound exceeds the budget.  A square
+    # matrix K (row-major) is judged after diagonal balancing instead: D K
+    # D^{-1} has the same determinant and entry errors d_i B_ij / d_j, so
+    # only those need meet the budget.  Accepted batches pay nothing extra.
+    what = "rounding error bound"
     worst = int(np.argmax(bound))
+    if not bound[worst] <= _ROUNDING_BUDGET and matrix:
+        n = math.isqrt(len(k))
+        d = _balance(k.reshape(n, n))
+        bound = (bound.reshape(n, n) * d[:, None] / d[None, :]).ravel()
+        worst = int(np.argmax(bound))
+        what = "balanced " + what
     if not bound[worst] <= _ROUNDING_BUDGET:
         raise ConvergenceError(
             "KernelSpec.values",
-            f"rounding error bound {bound[worst]:.2g} above "
-            f"{_ROUNDING_BUDGET:g} for N={len(config)} sites at "
-            f"t={t[worst]:g} (configuration too wide for double precision "
-            "at this time)")
-    return np.einsum("ij,ij->i", weights, rows)
+            f"{what} {bound[worst]:.2g} above {_ROUNDING_BUDGET:g} for "
+            f"N={len(config)} sites at t={t[worst]:g} (configuration too "
+            "wide for double precision at this time)")
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +350,22 @@ class KernelSpec:
         with S the variant's sum over initial sites: sum_j p(s, x|u_j)
         M_j(t, y) for a finite configuration (guarded: ``ConvergenceError``
         when cancellation in the martingale series could cost more than
-        ~1e-10 absolute), the lattice sum over a*Z (``method`` "sum",
-        "spectral" or "auto", with ``eps_tail`` its site truncation), or
-        the stationary band integral int_0^rho (``tol`` is the quadrature
+        ~1e-10 absolute in an entry), the lattice sum over a*Z (``method``
+        "sum", "spectral" or "auto", with ``eps_tail`` its site truncation),
+        or the stationary band integral int_0^rho (``tol`` is the quadrature
         tolerance; for s > t the whole kernel is minus the complementary
         band int_rho^1).  The "paper" gauge multiplies by e^{s-t}.  Work
         shared between entries (Bessel tables, martingale rows, quadratures)
         is done once per batch, so callers pass every entry they need at
         once.
         """
+        return self._evaluate(ps, qs, False, eps_tail, tol, method)
+
+    def _evaluate(self, ps, qs, matrix: bool, eps_tail: float, tol: float,
+                  method: str) -> np.ndarray:
+        # ``values``; with ``matrix`` the batch is the row-major square
+        # matrix K(p_i, p_j), whose finite rounding guard is judged after
+        # balancing (see _rounding_guard)
         s, x = _split_points(ps)
         t, y = _split_points(qs)
         if len(s) != len(t):
@@ -323,8 +375,9 @@ class KernelSpec:
         if not len(s):
             return np.zeros(0)
         variant = self.variant
+        bound = None
         if isinstance(variant, FiniteConfiguration):
-            out = _finite_sums(variant, s, x, t, y)
+            out, bound = _finite_sums(variant, s, x, t, y)
         elif isinstance(variant, LatticeSpec):
             out = np.empty(len(s))
             for (sv, tv), idx in _groups(s, t):
@@ -338,6 +391,8 @@ class KernelSpec:
         if back.any():
             out[back] -= _bessel_rows(s[back] - t[back],
                                       np.abs(x[back] - y[back]))
+        if bound is not None:
+            _rounding_guard(variant, out, bound, t, matrix)
         if self.gauge == "paper":
             out *= np.exp(s - t)
         return out

@@ -9,9 +9,13 @@ basis polynomials of a finite configuration, the operator yields the site
 martingales whose determinants drive everything else in the package.  The
 basis polynomials have degree N - 1, so the operator series stops after
 N terms and is evaluated exactly as a finite sum, together with the sum of
-its absolute terms, from which callers bound the cancellation.  For the
-infinite equidistant lattice the basis is the sinc function, and its
-martingale is a momentum integral.
+its absolute terms, from which callers bound the cancellation.  One call
+gives the rows of every site at a whole batch of final positions y, built
+on (Y, N, N) arrays in blocks of bounded size.  The series weights are
+integer polynomials in t, evaluated exactly and rounded once; where one
+leaves the double range (N >= 247 sites at t = 0.5) the rows are refused.
+For the infinite equidistant lattice the basis is the sinc function, and
+its martingale is a momentum integral.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .quadrature import gauss_legendre
 
 MAX_MARTINGALE_DEGREE = 12
@@ -70,31 +75,31 @@ class LatticeSpec:
 
 
 @lru_cache(maxsize=None)
-def _generating_coeffs(m: int) -> tuple[Fraction, ...]:
-    # Taylor coefficients of exp(-t*(cosh a - 1)) in a: b_m(t) as a tuple of
-    # Fractions indexed by the power of t.  Standard exp-of-series recurrence
-    # b_m = (1/m) * sum_k k c_k b_{m-k} with c_k = -t/k! for even k >= 2.
+def _series_polynomial(m: int) -> tuple[int, ...]:
+    # m! * b_m(t) as integer coefficients indexed by the power of t, where
+    # b_m(t) are the Taylor coefficients of exp(-t*(cosh a - 1)) in a.
+    # Differentiating the exponential gives the recurrence
+    # m! b_m = -t * sum_{k even >= 2} C(m-1, k-1) (m-k)! b_{m-k}, so every
+    # coefficient is an integer (zero at odd m).
     if m == 0:
-        return (Fraction(1),)
-    acc: dict[int, Fraction] = {}
+        return (1,)
+    acc = [0] * (m // 2 + 1)
     for k in range(2, m + 1, 2):
-        prev = _generating_coeffs(m - k)
-        scale = Fraction(-1, math.factorial(k - 1))
-        for p, c in enumerate(prev):
-            if c:
-                acc[p + 1] = acc.get(p + 1, Fraction(0)) + scale * c
-    top = max(acc) if acc else 0
-    return tuple(Fraction(acc.get(p, 0), m) for p in range(top + 1))
+        w = math.comb(m - 1, k - 1)
+        for p, c in enumerate(_series_polynomial(m - k)):
+            acc[p + 1] -= w * c
+    while len(acc) > 1 and not acc[-1]:
+        acc.pop()
+    return tuple(acc)
 
 
 @lru_cache(maxsize=None)
 def _martingale_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    fact_n = math.factorial(n)
-    rows = []
-    for j in range(n + 1):
-        scale = Fraction(fact_n, math.factorial(j))
-        rows.append(tuple(scale * c for c in _generating_coeffs(n - j)))
-    return tuple(rows)
+    # m_n(t, x) = sum_j n!/j! b_{n-j}(t) x^j, and n!/j! b_{n-j} is
+    # C(n, j) times the integer polynomial (n-j)! b_{n-j}
+    return tuple(tuple(Fraction(math.comb(n, j) * c)
+                       for c in _series_polynomial(n - j))
+                 for j in range(n + 1))
 
 
 def martingale_coefficients(n: int, *, n_max: int = MAX_MARTINGALE_DEGREE
@@ -151,6 +156,11 @@ def lagrange_basis(config: FiniteConfiguration, k: int, z: float) -> float:
 # site martingales of a finite configuration
 # ---------------------------------------------------------------------------
 
+# ys per block of site_martingale_rows: at most 2^16 floats in each
+# (Y, N, N) work array, so memory stays O(N^2 * block) for any number of ys
+_ROW_BLOCK_FLOATS = 1 << 16
+
+
 @lru_cache(maxsize=64)
 def _series_weights(n_sites: int, t: float) -> np.ndarray:
     # m! * b_m(t) for m < n_sites (zero at odd m): the weights of
@@ -160,56 +170,79 @@ def _series_weights(n_sites: int, t: float) -> np.ndarray:
     out = np.zeros(n_sites)
     for m in range(0, n_sites, 2):
         acc = Fraction(0)
-        for c in reversed(_generating_coeffs(m)):  # Horner in t
+        for c in reversed(_series_polynomial(m)):  # Horner in t
             acc = acc * tf + c
-        out[m] = float(acc * math.factorial(m))
+        try:
+            out[m] = float(acc)
+        except OverflowError:
+            raise ConvergenceError(
+                "site_martingale_rows",
+                f"series weight m!*b_m(t) at m={m} overflows double "
+                f"precision for N={n_sites} sites at t={t:g}") from None
     out.setflags(write=False)
     return out
 
 
-def _basis_taylor_rows(config: FiniteConfiguration, y: int) -> np.ndarray:
-    # Row k holds the Taylor coefficients in h of Phi^{u_k}(y + h), lowest
-    # power first: the product over j != k of (y - u_j + h) / (u_k - u_j),
-    # built one factor j at a time for every k at once.  Dividing each factor
-    # as it is applied keeps wide configurations clear of overflow, and the
-    # row at a site stays an exact Kronecker row.
+def _basis_taylor_rows(config: FiniteConfiguration,
+                       ys: np.ndarray) -> np.ndarray:
+    # Entry [i, k] holds the Taylor coefficients in h of Phi^{u_k}(ys[i] + h),
+    # lowest power first: the product over j != k of (y - u_j + h) / (u_k -
+    # u_j), built one factor j at a time for every y and k at once.  Dividing
+    # each factor as it is applied keeps wide configurations clear of
+    # overflow, and the row at a site stays an exact Kronecker row.
     u = np.asarray(config.sites, dtype=float)
+    n = len(u)
     gaps = u[:, None] - u[None, :]
     np.fill_diagonal(gaps, np.inf)
     inv = 1.0 / gaps
-    ratio = (y - u)[None, :] / gaps
-    np.fill_diagonal(ratio, 1.0)
-    coef = np.zeros((len(u), len(u)))
-    coef[:, 0] = 1.0
-    for j in range(len(u)):
-        shifted = coef[:, :-1] * inv[:, j, None]
-        coef *= ratio[:, j, None]
-        coef[:, 1:] += shifted
+    ratio = (ys[:, None] - u[None, :])[:, None, :] / gaps
+    ratio.reshape(len(ys), n * n)[:, ::n + 1] = 1.0
+    coef = np.zeros((len(ys), n, n))
+    coef[:, :, 0] = 1.0
+    for j in range(n):
+        shifted = coef[:, :, :-1] * inv[:, j, None]
+        coef *= ratio[:, :, j, None]
+        coef[:, :, 1:] += shifted
     return coef
 
 
-def site_martingale_row(config: FiniteConfiguration, t: float,
-                        y: int) -> tuple[np.ndarray, np.ndarray]:
-    """Martingales of every site of ``config`` at (t, y), with their spread.
+def site_martingale_rows(config: FiniteConfiguration, t: float,
+                         ys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Martingales of every site of ``config`` at (t, y) for each y of ``ys``,
+    with their spread; both of shape (len(ys), N).
 
-    Entry k of the first array is M_k(t, y) = exp(-t(cosh D - 1)) Phi^{u_k}
-    at y, the backward heat operator applied to the Lagrange basis
-    polynomial of u_k.  The basis polynomial has degree N - 1, so the
+    Entry [i, k] of the first array is M_k(t, ys[i]) = exp(-t(cosh D - 1))
+    Phi^{u_k} at ys[i], the backward heat operator applied to the Lagrange
+    basis polynomial of u_k.  The basis polynomial has degree N - 1, so the
     operator series is finite:
 
         M_k(t, y) = sum_{m even < N} b_m(t) Phi^{(m)}(y),
 
     with b_m(t) the Taylor coefficients of exp(-t(cosh a - 1)), expanded
-    around y.  Entry k of the second array is the sum of the absolute terms
-    of that series; machine epsilon times it estimates the rounding error
-    of entry k (kernels refuse values whose weighted estimate is too
-    large).  At t = 0 the row is the Kronecker row Phi^{u_k}(y).
+    around y.  Entry [i, k] of the second array is the sum of the absolute
+    terms of that series; machine epsilon times it estimates the rounding
+    error of entry [i, k] (kernels refuse values whose weighted estimate is
+    too large).  At t = 0 the row is the Kronecker row Phi^{u_k}(y).
+
+    The ys are worked through in blocks of max(1, 2^16 // N^2), so the work
+    arrays stay below 2^16 floats (for N <= 256) however many ys there are;
+    every entry is the same whatever the batch it comes in.
+    ``ConvergenceError`` when a series weight overflows double precision
+    (from N = 247 sites on at t = 0.5).
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    terms = _basis_taylor_rows(config, int(y)) \
-        * _series_weights(len(config), float(t))
-    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+    n = len(config)
+    weights = _series_weights(n, float(t))
+    rows = np.empty((len(ys), n))
+    spreads = np.empty((len(ys), n))
+    block = max(1, _ROW_BLOCK_FLOATS // (n * n))
+    for lo in range(0, len(ys), block):
+        terms = _basis_taylor_rows(config, ys[lo:lo + block]) * weights
+        rows[lo:lo + block] = terms.sum(axis=-1)
+        spreads[lo:lo + block] = np.abs(terms).sum(axis=-1)
+    return rows, spreads
 
 
 # ---------------------------------------------------------------------------

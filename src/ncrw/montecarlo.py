@@ -28,7 +28,7 @@ import numpy as np
 
 from .correlations import (CorrelationEntry, CorrelationTable,
                            MultiTimePointSet)
-from .martingales import FiniteConfiguration, site_martingale_row
+from .martingales import FiniteConfiguration, site_martingale_rows
 
 BLOCK_SIZE = 2048
 
@@ -210,16 +210,11 @@ class _Moments:
 
 
 def _determinant_weight(config: FiniteConfiguration, t: float,
-                        positions: np.ndarray,
-                        rows: dict[int, np.ndarray]) -> np.ndarray:
-    """det of the site-martingale rows at the final sites, per sample.
-
-    ``rows`` memoizes the row of each final site over one sweep."""
+                        positions: np.ndarray) -> np.ndarray:
+    """det of the site-martingale rows at the final sites, per sample: one
+    batch of rows over the distinct final sites of the block."""
     sites = np.unique(positions)
-    for y in sites.tolist():
-        if y not in rows:
-            rows[y] = site_martingale_row(config, t, y)[0]
-    m = np.stack([rows[y] for y in sites.tolist()])[
+    m = site_martingale_rows(config, t, sites)[0][
         np.searchsorted(sites, positions)]
     if m.shape[1] == 1:
         return m[:, 0, 0]
@@ -257,14 +252,13 @@ def estimate_many(config: FiniteConfiguration,
     u = config.sites
     moments = [_Moments() for _ in functionals]
     weights = _Moments()
-    rows: dict[int, np.ndarray] = {}
     for block in WalkBlock.sweep(config, T, n_samples, seed):
         final = block.positions(T)
         if estimator == "h":
             w = np.where(block.exit_times() <= T, 0.0,
                          vandermonde_ratio(final, u))
         else:
-            w = _determinant_weight(config, T, final, rows)
+            w = _determinant_weight(config, T, final)
         weights.add(np.abs(w))
         positions = {t: final if t == T else block.positions(t)
                      for t in (*query_times, T)}

@@ -28,7 +28,7 @@ from .bessel import (scaled_bessel_i_all, transition_probability,
 from .correlations import correlation_from_points, kernel_matrix
 from .kernels import KernelSpec, LatticeSpec, StationarySpec, sine_kernel
 from .martingales import (FiniteConfiguration, lagrange_basis,
-                          martingale_polynomial, site_martingale_row,
+                          martingale_polynomial, site_martingale_rows,
                           vandermonde)
 from .quadrature import gauss_legendre
 from .relaxation import relaxation_sweep, remainder_damping_max
@@ -96,7 +96,7 @@ def check_martingale_identities() -> CheckResult:
     for t in (0.5, 2.0, 14.0, 22.0):
         radius = truncation_radius(t, 1e-30) + 4
         ys = np.arange(xs[0] - radius, xs[-1] + radius + 1)
-        rows = np.array([site_martingale_row(config, t, y)[0] for y in ys])
+        rows = site_martingale_rows(config, t, ys)[0]
         it = scaled_bessel_i_all(radius + len(xs), t)
         for x in xs:
             weights = it[np.abs(ys - x)]

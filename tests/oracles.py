@@ -3,9 +3,11 @@
 These deliberately avoid the package's evaluation strategies: direct
 series summation with compensated accumulation for the Bessel values, the
 signed Bessel transform summed ring by ring for site martingales (in
-double precision, and at 60 digits with mpmath), a jump-chain level
-simulation for exit probabilities, and per-sample walk paths with a
-jump-by-jump exit-time loop as the reference for the block sampler.
+double precision, and at 60 digits with mpmath), the site-martingale rows
+built one final site at a time, Karlin-McGregor determinants of scipy's
+``ive`` for equal-time correlations, a jump-chain level simulation for
+exit probabilities, and per-sample walk paths with a jump-by-jump
+exit-time loop as the reference for the block sampler.
 It also holds small functions the package does not export, kept as
 references for the tests: signed Bessel values, the characteristic
 function, Esscher weights, the sinc basis, gauge transforms and the
@@ -22,7 +24,8 @@ import numpy as np
 from ncrw.bessel import scaled_bessel_i, scaled_bessel_i_all
 from ncrw.errors import ConvergenceError
 from ncrw.kernels import KernelSpec, SpaceTimePoint, StationarySpec
-from ncrw.martingales import FiniteConfiguration, LatticeSpec, lagrange_basis
+from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
+                              _series_weights, lagrange_basis)
 
 
 def bessel_series(n: int, z: float) -> float:
@@ -250,6 +253,40 @@ def ring_site_martingale_row(config: FiniteConfiguration, t: float, y: int, *,
         lambda k, w: w * basis_row(y) if k == 0
         else w * (basis_row(y + k) + basis_row(y - k)),
         t + len(config) - 1, t, eps_tail, max_radius)
+
+
+def site_martingale_row_loop(config: FiniteConfiguration, t: float,
+                             y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every site martingale at (t, y) and its spread, one final site at a
+    time: the per-site reference for ``site_martingale_rows``, with the
+    Taylor rows built on an (N, N) array and the diagonal set by
+    ``fill_diagonal``."""
+    u = np.asarray(config.sites, dtype=float)
+    gaps = u[:, None] - u[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    inv = 1.0 / gaps
+    ratio = (int(y) - u)[None, :] / gaps
+    np.fill_diagonal(ratio, 1.0)
+    coef = np.zeros((len(u), len(u)))
+    coef[:, 0] = 1.0
+    for j in range(len(u)):
+        shifted = coef[:, :-1] * inv[:, j, None]
+        coef *= ratio[:, j, None]
+        coef[:, 1:] += shifted
+    terms = coef * _series_weights(len(config), float(t))
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def karlin_mcgregor(sites, t: float, ys) -> float:
+    """Probability that the noncolliding walks from ``sites`` sit exactly at
+    ``ys`` at time t, by Karlin-McGregor: det[p(t, y_j|u_i)] * h(ys)/h(sites)
+    with scipy's ``ive`` for p and h the Vandermonde product."""
+    from scipy.special import ive
+    u = np.asarray(sites, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    det = np.linalg.det(ive(np.abs(u[:, None] - y[None, :]), t))
+    pairs = [(j, k) for j in range(len(u)) for k in range(j + 1, len(u))]
+    return det * math.prod((y[k] - y[j]) / (u[k] - u[j]) for j, k in pairs)
 
 
 def kernel_finite_mpmath(sites, s: float, x: int, t: float, y: int,

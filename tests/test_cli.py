@@ -81,6 +81,17 @@ class TestDensityCommand:
         assert code == 0
         validate(json.loads(out), "density.json")
 
+    @pytest.mark.parametrize("n", [247, 400])
+    def test_overflowing_series_exits_1(self, n, capsys):
+        # N >= 247 sites: the series weights leave the double range
+        spec = "finite:" + ",".join(str(u) for u in range(n))
+        code, out = run_cli(["density", "--spec", spec, "--t", "0.5",
+                             "--window", "0:2"])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "numerical convergence failure" in err and "overflows" in err
+        assert "Traceback" not in err
+
 
 class TestCorrelationCommand:
     def test_json_validates_and_is_gauge_free(self):

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncrw import kernels
 from ncrw.bessel import scaled_bessel_i, truncation_radius
-from ncrw.correlations import density_profile, kernel_matrix
+from ncrw.correlations import (MultiTimePointSet, correlation_function,
+                               density_profile, kernel_matrix)
 from ncrw.errors import ConvergenceError
-from ncrw.kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
+from ncrw.kernels import (GAUGES, KernelSpec, SpaceTimePoint, StationarySpec,
                           lattice_kernel_g, lattice_kernel_remainder,
                           sine_kernel)
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
                               lagrange_basis)
 from ncrw.quadrature import gauss_legendre
-from oracles import gauge_transform, kernel_finite_mpmath
+from oracles import gauge_transform, karlin_mcgregor, kernel_finite_mpmath
 
 WIDE = FiniteConfiguration.equidistant(2, 20)  # 2Z in [-20, 20], N = 21
 
@@ -173,6 +175,12 @@ class TestFiniteLargeTime:
         with pytest.raises(ConvergenceError):
             equal_time_matrix(WIDE, 50.0, range(-3, 4))
 
+    @pytest.mark.parametrize("n", [247, 400])
+    def test_overflowing_series_refused(self, n):
+        spec = KernelSpec(FiniteConfiguration(tuple(range(n))))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            density_profile(spec, 0.5, range(3))
+
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(st.lists(st.integers(-12, 12), min_size=1, max_size=8,
@@ -188,6 +196,65 @@ class TestFiniteLargeTime:
         rho = np.diag(kt)
         assert np.trace(kt) == pytest.approx(len(sites), abs=1e-9)
         assert np.all((rho >= -1e-9) & (rho <= 1.0 + 1e-9))
+
+
+class TestBalancedGuard:
+    """Matrices are judged after diagonal balancing, entries one by one."""
+
+    # 12-site equal-time correlations that the absolute budget refuses
+    # (bounds 1.1e-10 to 1.6e-10); balanced, their bounds are below 3e-13.
+    # The first determinant is 1.1e-14 from entries of size up to 35: the
+    # guard's first-order error estimate for it is 2.3e-7 relative, and it
+    # lands 4.1e-9 from Karlin-McGregor.
+    WINDOWS = [
+        ((-12, -9, -7, -6, -5, -4, -3, -2, -1, 1, 3, 5), 4.0,
+         (-14, -10, -9, -7, -5, -4, -3, -2, -1, 0, 3, 4), 1e-8),
+        ((-12, -9, -6, -4, -2, -1, 0, 1, 2, 3, 4, 5), 2.5,
+         (-14, -8, -6, -3, -2, -1, 0, 1, 2, 3, 4, 6), 1e-9),
+        ((-14, -11, -8, -5, -4, -3, -2, -1, 1, 2, 3, 4), 3.5,
+         (-16, -11, -8, -6, -3, -2, -1, 0, 1, 2, 3, 6), 1e-9),
+    ]
+
+    @pytest.mark.parametrize("sites, t, ys, rel", WINDOWS)
+    def test_refused_windows_match_karlin_mcgregor(self, sites, t, ys, rel):
+        spec = KernelSpec(FiniteConfiguration(sites))
+        points = [(t, y) for y in ys]
+        with pytest.raises(ConvergenceError):
+            spec.values(np.repeat(points, len(ys), axis=0),
+                        np.tile(points, (len(ys), 1)))
+        want = karlin_mcgregor(sites, t, ys)
+        for gauge in GAUGES:
+            got = correlation_function(KernelSpec(spec.variant, gauge),
+                                       MultiTimePointSet(((t, ys),)))
+            assert got == pytest.approx(want, rel=rel)
+
+    @pytest.mark.parametrize("t, window", [
+        (50.0, range(-3, 4)), (50.0, range(-20, 21)), (25.0, range(-20, 21))])
+    def test_cancellation_still_refused(self, t, window):
+        with pytest.raises(ConvergenceError, match="balanced"):
+            equal_time_matrix(WIDE, t, window)
+
+    def test_accepted_matrices_skip_balancing(self, monkeypatch):
+        def fail(a):
+            raise AssertionError("balanced a matrix the budget accepts")
+
+        monkeypatch.setattr(kernels, "_balance", fail)
+        kt = equal_time_matrix(FiniteConfiguration((0, 2, 5)), 14.0,
+                               window_around((0, 2, 5), 14.0))
+        assert np.trace(kt) == pytest.approx(3.0, abs=1e-12)
+
+    def test_balance_equalizes_row_and_column_sums(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.5, 1.0, (6, 6)) \
+            * np.exp(rng.uniform(-20, 20, 6))[:, None]
+        a[2, :] = 0.0          # a zero row keeps its scale
+        d = kernels._balance(a)
+        b = np.abs(a) * d[:, None] / d[None, :]
+        np.fill_diagonal(b, 0.0)
+        live = [i for i in range(6) if i != 2]
+        np.testing.assert_allclose(b.sum(axis=1)[live], b.sum(axis=0)[live],
+                                   rtol=0.05)
+        assert d[2] == 1.0
 
 
 class TestKernelLattice:
@@ -426,12 +493,18 @@ class TestBatchedValues:
 
     def test_density_is_diagonal_only(self):
         # in the prob gauge off-diagonal entries grow like y^{N-1} toward
-        # the window edge: the full matrix is refused, its diagonal is not
+        # the window edge: such an entry alone is refused, the diagonal is
+        # not, and the full matrix is judged after balancing.  It is then a
+        # projection: trace K = sum_ij K_ij K_ji = N, both gauge invariant.
+        spec = KernelSpec(WIDE)
         window = window_around(WIDE.sites, 2.0)
-        rho = density_profile(KernelSpec(WIDE), 2.0, window)
+        rho = density_profile(spec, 2.0, window)
         assert rho.sum() == pytest.approx(21.0, abs=1e-9)
         with pytest.raises(ConvergenceError):
-            kernel_matrix(KernelSpec(WIDE), [(2.0, x) for x in window])
+            spec.values([(2.0, 0)], [(2.0, window[-1])])
+        mat = kernel_matrix(spec, [(2.0, x) for x in window])
+        assert np.array_equal(np.diag(mat), rho)
+        assert np.sum(mat * mat.T) == pytest.approx(21.0, abs=1e-9)
 
 
 class TestLatticeSpectralParts:

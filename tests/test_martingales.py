@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 
 from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
-from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
-                              lagrange_basis, lattice_martingale_batch,
+from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
+                              LatticeSpec, _series_weights, lagrange_basis,
+                              lattice_martingale_batch,
                               martingale_coefficients, martingale_polynomial,
-                              site_martingale_row, vandermonde)
+                              site_martingale_rows, vandermonde)
 from oracles import (backward_transform, backward_transform_exp,
-                     esscher_weight, lattice_basis, ring_site_martingale_row)
+                     esscher_weight, lattice_basis, ring_site_martingale_row,
+                     site_martingale_row_loop)
 
 
 def transition_weights(t, center, radius):
@@ -189,7 +192,7 @@ class TestVandermonde:
 
 
 def site_martingale(config, k, t, y):
-    return float(site_martingale_row(config, t, y)[0][k])
+    return float(site_martingale_rows(config, t, [y])[0][0, k])
 
 
 class TestSiteMartingale:
@@ -204,7 +207,7 @@ class TestSiteMartingale:
         # polynomials: must match the series expanded around y
         c = FiniteConfiguration((-1, 0, 3))
         t, y = 1.2, 2
-        row, _ = site_martingale_row(c, t, y)
+        row = site_martingale_rows(c, t, [y])[0][0]
         for k in range(3):
             others = [u for i, u in enumerate(c.sites) if i != k]
             coeffs = np.polynomial.polynomial.polyfromroots(others)
@@ -241,7 +244,7 @@ class TestSiteMartingale:
             c = FiniteConfiguration(sites)
             t = float(rng.uniform(0.0, 2.0))
             y = int(rng.integers(-15, 16))
-            row, spread = site_martingale_row(c, t, y)
+            (row,), (spread,) = site_martingale_rows(c, t, [y])
             want = ring_site_martingale_row(c, t, y)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
             assert np.all(spread >= np.abs(row))
@@ -249,13 +252,81 @@ class TestSiteMartingale:
     def test_kronecker_rows_exact_at_sites(self):
         c = FiniteConfiguration((-7, -2, 0, 5, 11))
         for k, u in enumerate(c.sites):
-            row, spread = site_martingale_row(c, 0.0, u)
+            (row,), (spread,) = site_martingale_rows(c, 0.0, [u])
             assert row.tolist() == [float(i == k) for i in range(len(c))]
             assert spread.tolist() == row.tolist()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            site_martingale_row(FiniteConfiguration((0, 2)), -1.0, 0)
+            site_martingale_rows(FiniteConfiguration((0, 2)), -1.0, [0])
+
+
+class TestSiteMartingaleBatch:
+    """``site_martingale_rows`` against the per-site loop of the oracles."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0, 14.0])
+    def test_bit_equal_to_per_site_loop(self, t):
+        rng = np.random.default_rng(int(10 * t) + 5)
+        for n in (1, 2, 5, 9, 12):
+            sites = tuple(sorted(int(v) for v in
+                                 rng.choice(np.arange(-30, 31), n,
+                                            replace=False)))
+            c = FiniteConfiguration(sites)
+            # unsorted ys with repeats; at N >= 9 they cross a block boundary
+            count = _ROW_BLOCK_FLOATS // (n * n) + 5 if n >= 9 else 40
+            ys = rng.integers(-40, 41, size=count)
+            rows, spreads = site_martingale_rows(c, t, ys)
+            assert rows.shape == spreads.shape == (count, n)
+            for i, y in enumerate(ys.tolist()):
+                row, spread = site_martingale_row_loop(c, t, y)
+                assert np.array_equal(rows[i], row)
+                assert np.array_equal(spreads[i], spread)
+
+    def test_empty_batch(self):
+        rows, spreads = site_martingale_rows(FiniteConfiguration((0, 3)),
+                                             1.0, [])
+        assert rows.shape == spreads.shape == (0, 2)
+
+    def test_memory_stays_blocked(self):
+        # 300 ys at N = 60 unblocked: four (Y, N, N) work arrays of 8.6 MB
+        c = FiniteConfiguration(tuple(range(0, 120, 2)))
+        site_martingale_rows(c, 0.5, [0])  # series weights cached untraced
+        tracemalloc.start()
+        try:
+            site_martingale_rows(c, 0.5, np.arange(-150, 150))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_series_weights_match_taylor_coefficients(self):
+        # m! * [a^m] exp(-t(cosh a - 1)), from mpmath's Taylor expansion
+        import mpmath as mp
+        for t in (0.5, 3.0, 14.0):
+            weights = _series_weights(31, t)
+            with mp.workdps(80):
+                taylor = mp.taylor(lambda a: mp.exp(-t * (mp.cosh(a) - 1)),
+                                   0, 30)
+                want = [float(c * mp.factorial(m))
+                        for m, c in enumerate(taylor)]
+            assert np.all(weights[1::2] == 0.0)
+            np.testing.assert_allclose(weights[::2], want[::2], rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [247, 400])
+    def test_overflowing_series_refused(self, n):
+        # m! * b_m(t) passes the double range at m = 246 for t = 0.5
+        c = FiniteConfiguration(tuple(range(n)))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            site_martingale_rows(c, 0.5, [0])
+
+    def test_largest_configuration_below_overflow(self):
+        weights = _series_weights(246, 0.5)
+        assert np.all(np.isfinite(weights))
+        assert np.abs(weights).max() > 1e300
+        # no weight but the first is nonzero at t = 0, whatever N
+        c = FiniteConfiguration(tuple(range(247)))
+        assert site_martingale_rows(c, 0.0, [5])[0][0].tolist() == [
+            float(k == 5) for k in range(247)]
 
 
 class TestLatticeBasis:

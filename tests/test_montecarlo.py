@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from ncrw import montecarlo
 from ncrw.bessel import transition_probability
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
-from ncrw.martingales import FiniteConfiguration
+from ncrw.martingales import FiniteConfiguration, site_martingale_rows
 from ncrw.montecarlo import (BLOCK_SIZE, OccupationProduct, One, WalkBlock,
                              absorbed_weight_mean, empirical_correlation,
                              estimate_many, vandermonde_ratio)
 
 from oracles import (WalkPath, ensembles_of_block, exit_time,
-                     sample_ensemble, survival_probability_jump_chain)
+                     sample_ensemble, site_martingale_row_loop,
+                     survival_probability_jump_chain)
 
 XI = FiniteConfiguration((0, 2))
 ONE_WALK = FiniteConfiguration((0,))
@@ -214,6 +216,39 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_many(XI, [OccupationProduct(pts((2.0, (0,))))],
                           1.0, 10, 1)
+
+
+class TestDeterminantWeight:
+    def test_one_row_batch_per_block(self, monkeypatch):
+        calls = []
+
+        def spy(config, t, ys):
+            calls.append(len(ys))
+            return site_martingale_rows(config, t, ys)
+
+        monkeypatch.setattr(montecarlo, "site_martingale_rows", spy)
+        estimate_many(FiniteConfiguration((-1, 1, 4)), [One()], 1.0,
+                      2 * BLOCK_SIZE + 7, 3, "dmr")
+        assert len(calls) == 3 and all(n > 1 for n in calls)
+
+    @pytest.mark.parametrize("sites, T, seed", [
+        ((0, 2), 1.0, 9), ((-1, 1, 4), 1.5, 5), ((-3, 0, 1, 4, 6), 0.75, 31)])
+    def test_dmr_bit_identical_to_oracle_rows(self, monkeypatch, sites, T,
+                                              seed):
+        config = FiniteConfiguration(sites)
+        functionals = [One(), OccupationProduct(pts((T / 2, sites[:1])))]
+        got = estimate_many(config, functionals, T, BLOCK_SIZE + 100, seed,
+                            "dmr")
+
+        def oracle_rows(config, t, ys):
+            pairs = [site_martingale_row_loop(config, t, y)
+                     for y in ys.tolist()]
+            return (np.array([r for r, _ in pairs]),
+                    np.array([s for _, s in pairs]))
+
+        monkeypatch.setattr(montecarlo, "site_martingale_rows", oracle_rows)
+        assert got == estimate_many(config, functionals, T,
+                                    BLOCK_SIZE + 100, seed, "dmr")
 
 
 class TestReproducibility:
