@@ -19,12 +19,11 @@ from .correlations import (CorrelationEntry, CorrelationTable,
                            density_profile, fredholm_generating_function,
                            kernel_matrix)
 from .errors import ConvergenceError
-from .kernels import (KernelSpec, SpaceTimePoint, StationarySpec,
-                      lattice_kernel_g, lattice_kernel_remainder, sine_kernel)
+from .kernels import (KernelSpec, StationarySpec, lattice_kernel_g,
+                      lattice_kernel_remainder, sine_kernel)
 from .martingales import (FiniteConfiguration, LatticeSpec, lagrange_basis,
-                          lattice_martingale_batch, martingale_coefficients,
-                          martingale_polynomial, site_martingale_rows,
-                          vandermonde)
+                          martingale_coefficients, martingale_polynomial,
+                          site_martingale_rows, vandermonde)
 from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
                          absorbed_weight_mean, empirical_correlation,
                          estimate_many, vandermonde_ratio)
@@ -41,11 +40,11 @@ __all__ = [
     "scaled_bessel_i", "scaled_bessel_i_all", "transition_probability",
     "transition_probability_poisson", "transition_probability_quadrature",
     "truncation_radius",
-    "KernelSpec", "SpaceTimePoint", "StationarySpec", "lattice_kernel_g",
+    "KernelSpec", "StationarySpec", "lattice_kernel_g",
     "lattice_kernel_remainder", "sine_kernel",
     "FiniteConfiguration", "LatticeSpec", "lagrange_basis",
-    "lattice_martingale_batch", "martingale_coefficients",
-    "martingale_polynomial", "site_martingale_rows", "vandermonde",
+    "martingale_coefficients", "martingale_polynomial",
+    "site_martingale_rows", "vandermonde",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
     "absorbed_weight_mean", "empirical_correlation", "estimate_many",
     "vandermonde_ratio",

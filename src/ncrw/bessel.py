@@ -101,28 +101,28 @@ def scaled_bessel_i_all(n_max: int, t: float) -> np.ndarray:
     return _scaled_all_cached(int(n_max), float(t))
 
 
-def truncation_radius(t: float, eps_tail: float = 1e-16) -> int:
-    """Largest order n with itilde_n(t) >= eps_tail (0 if none).
+def truncation_radius(t: float, eps: float = 1e-16) -> int:
+    """Largest order n with itilde_n(t) >= eps (0 if none).
 
     itilde_n(t) is decreasing in n, so lattice sums over |y - x| <= radius
-    capture all but an O(eps_tail) tail.  Found by scanning outward from
+    capture all but an O(eps) tail.  Found by scanning outward from
     ceil(t) + 10.
     """
     _check_order_time(0, t)
-    if not 0.0 < eps_tail < 1.0:
-        raise ValueError(f"eps_tail must be in (0, 1), got {eps_tail}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
     if t == 0.0:
         return 0
     guess = int(math.ceil(t)) + 10
     while True:
         vals = scaled_bessel_i_all(guess, t)
-        below = np.nonzero(vals < eps_tail)[0]
+        below = np.nonzero(vals < eps)[0]
         if below.size:
             return int(below[0]) - 1 if below[0] > 0 else 0
         guess *= 2
         if guess > 10_000_000:
             raise ConvergenceError("truncation_radius",
-                                   f"no decay below {eps_tail:g} found for t={t}")
+                                   f"no decay below {eps:g} found for t={t}")
 
 
 def transition_probability(t: float, x: int, y: int) -> float:

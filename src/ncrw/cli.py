@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``kernel``, ``density``, ``correlation``, ``simulate``,
-``relaxation``, ``selftest``.  Global knobs (tail/quadrature tolerances,
+``relaxation``, ``selftest``.  Global knobs (quadrature tolerance,
 threads, seed, output format, output path) resolve in the order
 command-line flag > key=value file named by $NCRW_CONFIG > built-in
 default.  Exit codes: 0 success, 1 numerical-convergence failure, 2 usage
@@ -27,7 +27,6 @@ from .relaxation import relaxation_sweep
 from .selftest import run_selftest
 
 _DEFAULTS = {
-    "tol_tail": 1e-14,
     "tol_quad": 1e-13,
     "threads": 1,
     "seed": 0,
@@ -35,7 +34,6 @@ _DEFAULTS = {
     "out": None,
 }
 _CONFIG_KEYS = {
-    "tol-tail": "tol_tail", "tol_tail": "tol_tail",
     "tol-quad": "tol_quad", "tol_quad": "tol_quad",
     "threads": "threads", "seed": "seed", "output": "output", "out": "out",
 }
@@ -43,7 +41,6 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    tol_tail: float
     tol_quad: float
     threads: int
     seed: int
@@ -51,10 +48,9 @@ class RunConfig:
     out: str | None
 
     def __post_init__(self):
-        for name in ("tol_tail", "tol_quad"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1e-4:
-                raise ValueError(f"{name} must be in (0, 1e-4], got {v}")
+        if not 0.0 < self.tol_quad <= 1e-4:
+            raise ValueError(
+                f"tol_quad must be in (0, 1e-4], got {self.tol_quad}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.seed < 0:
@@ -87,7 +83,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = dict(_DEFAULTS)
     file_vals = _load_config_file()
     for key, raw in file_vals.items():
-        if key in ("tol_tail", "tol_quad"):
+        if key == "tol_quad":
             merged[key] = float(raw)
         elif key in ("threads", "seed"):
             merged[key] = int(raw)
@@ -155,7 +151,7 @@ def _parse_at_groups(at_args: list[str]) -> MultiTimePointSet:
 
 
 def _spec_opts(cfg: RunConfig) -> dict:
-    return {"eps_tail": cfg.tol_tail, "tol": cfg.tol_quad}
+    return {"tol": cfg.tol_quad}
 
 
 def _points_doc(pts: MultiTimePointSet) -> list:
@@ -304,9 +300,6 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-tail", dest="tol_tail", type=float,
-                        default=None,
-                        help="truncation tail for lattice sums (default 1e-14)")
     common.add_argument("--tol-quad", dest="tol_quad", type=float,
                         default=None,
                         help="quadrature tolerance (default 1e-13)")

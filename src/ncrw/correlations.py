@@ -75,8 +75,7 @@ class CorrelationTable:
 
 
 def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]], *,
-                  eps_tail: float = 1e-14, tol: float = 1e-13,
-                  method: str = "auto") -> np.ndarray:
+                  tol: float = 1e-13) -> np.ndarray:
     """Matrix K(points[i], points[j]), all entries in one batch.
 
     Options as for ``KernelSpec.values``.  A finite configuration's rounding
@@ -88,7 +87,7 @@ def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]], *,
     n = len(points)
     pts = np.asarray(points, dtype=float).reshape(n, 2)
     return spec._evaluate(np.repeat(pts, n, axis=0), np.tile(pts, (n, 1)),
-                          True, eps_tail, tol, method).reshape(n, n)
+                          True, tol).reshape(n, n)
 
 
 def correlation_from_points(spec: KernelSpec,

@@ -21,45 +21,40 @@ transition probabilities e^{-t} I_n(t), keeping all magnitudes bounded;
 Bessel-product form of the finite kernel.  The two differ exactly by
 e^{t-s} and all equal-time values coincide.
 
-The lattice kernel has two independent evaluation routes: the defining
-sum over initial sites ("sum") and a spectrally folded form ("spectral")
-obtained by collapsing the sum over sites against the momentum integrals
-(a Poisson-summation identity), which splits the kernel into a principal
-band term plus an aliasing remainder.  The folded route has no
-exponential cancellation and is used automatically at large times.
+The lattice kernel is evaluated in its spectrally folded form: collapsing
+the defining sum over initial sites against the momentum integrals (a
+Poisson-summation identity) leaves one momentum integral per comb shift m.
+Shift m = 0 is the principal band term, the stationary kernel at density
+1/a; the shifts m >= 1 are the aliasing remainder, the whole relaxation
+gap.  Each distinct (s, t, y - x, x mod a) key of a batch is one column of
+a blocked Gauss-Legendre quadrature over every shift at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bessel import scaled_bessel_i_all, truncation_radius
+from .bessel import scaled_bessel_i_all
 from .errors import ConvergenceError
 from .martingales import (FiniteConfiguration, LatticeSpec,
-                          lattice_martingale_batch, site_martingale_rows)
+                          site_martingale_rows)
 from .quadrature import gauss_legendre
 
 GAUGES = ("prob", "paper")
 
-# switch the lattice kernel to the folded route once the site-sum route
-# would lose more than ~1e-10 to cancellation: its intermediate terms grow
-# like exp(t * (1 - cos(pi/a))).
-_SPECTRAL_SWITCH = 10.0
+# key-shift pairs per lattice quadrature: a block's node table holds up to
+# 2048 nodes for each of them
+_LATTICE_BLOCK_FLOATS = 512
 # the same ~1e-10 budget for the finite kernel: refuse a value whose
 # estimated rounding error (see _finite_sums) is larger.
 _ROUNDING_BUDGET = 1e-10
 # sweeps of the balancing iteration that judges refused matrices
 _BALANCE_SWEEPS = 100
 _EPS = float(np.finfo(float).eps)
-
-
-class SpaceTimePoint(NamedTuple):
-    t: float
-    x: int
 
 
 def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -174,113 +169,113 @@ def _rounding_guard(config: FiniteConfiguration, k: np.ndarray,
 # infinite equidistant lattice
 # ---------------------------------------------------------------------------
 
+def remainder_branches(lattice: LatticeSpec) -> list[tuple[int, float]]:
+    """Nonzero comb shifts (m, weight) of the folded lattice kernel.
+
+    Folding sum_j e^{-i(theta+lam)j} against the site sum puts theta at
+    2*pi*m - lam, one shift m per residue class mod a.  Over lam in
+    [-pi, pi] the shifts m and a - m have the same real part, so m runs over
+    1 .. a//2 with weight 2, except m = a/2 (even a), its own mirror, with
+    weight 1.
+    """
+    a = lattice.a
+    return [(m, 1.0 if 2 * m == a else 2.0) for m in range(1, a // 2 + 1)]
+
+
+def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    # the distinct rows of the key columns, as sorted columns (the last
+    # column leads), and for every row the index of its distinct row
+    order = np.lexsort(columns)
+    cols = [c[order] for c in columns]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return [c[new] for c in cols], inverse
+
+
+def _lattice_sums(lattice: LatticeSpec, s, x, t, y, shifts, tol: float
+                  ) -> np.ndarray:
+    # The folded lattice kernel without the backward term, restricted to the
+    # comb shifts (m, w): per entry the sum over them of
+    #
+    #   (w/2*pi*a) int_{-pi}^{pi} cos(2*pi*m*x/a + lam*(y - x)/a)
+    #       * exp(t - s - t*cos(lam/a) + s*cos((2*pi*m - lam)/a)) dlam,
+    #
+    # which depends on (x, y) through (y - x, x mod a) only.  Every distinct
+    # (s, t, y - x, x mod a) key of the batch is one column of a vector
+    # quadrature, in blocks of _LATTICE_BLOCK_FLOATS key-shift pairs, which
+    # bound the node tables of a wide batch; keys are ordered by y - x, so
+    # a block holds keys of like oscillation.
+    a = lattice.a
+    (r, sk, tk, d), inverse = _distinct(x % a, s, t, y - x)
+    m = np.array([v for v, _ in shifts], dtype=float)
+    w = np.array([v for _, v in shifts]) / (2.0 * math.pi * a)
+    per_block = max(1, _LATTICE_BLOCK_FLOATS // len(shifts))
+    out = np.empty(len(d))
+    for lo in range(0, len(d), per_block):
+        blk = slice(lo, lo + per_block)
+        # the damping factor depends on (s, t), the wave on (y - x, x mod a)
+        (sb, tb), si = _distinct(sk[blk], tk[blk])
+        (rb, db), di = _distinct(r[blk], d[blk])
+        sb, tb = sb[:, None], tb[:, None]
+        phase = 2.0 * math.pi * m * rb[:, None] / a
+        freq = db[:, None] / a
+
+        def integrand(lam, sb=sb, tb=tb, si=si, phase=phase, freq=freq, di=di):
+            lam = lam[:, None, None]
+            damp = sb * np.cos((2.0 * math.pi * m - lam) / a)
+            damp += tb * (1.0 - np.cos(lam / a)) - sb
+            np.exp(damp, out=damp)
+            wave = np.cos(phase + lam * freq)
+            wave *= w
+            return np.einsum("nkm,nkm->nk", damp[:, si], wave[:, di])
+
+        out[blk] = gauss_legendre(integrand, -math.pi, math.pi, tol=tol)
+    return out[inverse]
+
+
+def _shift_selection(lattice: LatticeSpec, s, x, t, y, shifts, tol: float):
+    # _lattice_sums over broadcast arguments, shaped like them (a float when
+    # all are scalars)
+    s, x, t, y = np.broadcast_arrays(s, x, t, y)
+    got = _lattice_sums(lattice, s.ravel().astype(float),
+                        x.ravel().astype(np.int64), t.ravel().astype(float),
+                        y.ravel().astype(np.int64), shifts, tol)
+    return got.reshape(s.shape) if s.ndim else float(got[0])
+
+
 def lattice_kernel_g(lattice: LatticeSpec, dt: float, dx, *,
                      tol: float = 1e-13):
-    """Principal band term of the folded lattice kernel:
+    """Principal band term (shift m = 0) of the folded lattice kernel:
 
     (1/2*pi*a) int_{-pi}^{pi} exp(i*lam*dx/a + dt*(1 - cos(lam/a))) dlam.
 
     Depends only on the displacement (dt, dx); at dt = 0 it equals the
-    sine kernel at density 1/a.  ``dx`` may be an integer array: one
-    quadrature gives the term at every entry.
+    sine kernel at density 1/a.  ``dx`` may be an integer array: its
+    entries share the blocked quadrature of ``KernelSpec.values``.
     """
-    a = lattice.a
-    dx = np.asarray(dx)
-
-    def integrand(lam):
-        lam = lam.reshape(lam.shape + (1,) * dx.ndim)
-        return np.cos(lam * dx / a) * np.exp(dt * (1.0 - np.cos(lam / a)))
-
-    return gauss_legendre(integrand, 0.0, math.pi, tol=tol) / (math.pi * a)
-
-
-def remainder_branches(lattice: LatticeSpec) -> list[tuple[int, float, float]]:
-    """Nonempty momentum windows (m, lam_lo, lam_hi) of the aliasing sum.
-
-    Folding sum_j e^{-i(theta+lam)j} against the site sum restricts theta
-    to 2*pi*m - lam inside the annulus pi < |theta| <= a*pi; each shift m
-    contributes the lam-window returned here (negative m mirror these).
-    """
-    a = lattice.a
-    out = []
-    for m in range(1, a // 2 + 2):
-        lo = max(-math.pi, (2 * m - a) * math.pi)
-        if lo < math.pi:
-            out.append((m, lo, math.pi))
-    return out
+    return _shift_selection(lattice, 0.0, 0, dt, dx, [(0, 1.0)], tol)
 
 
 def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x, t: float, y,
                              *, tol: float = 1e-13):
-    """Aliasing remainder of the folded lattice kernel.
+    """Aliasing remainder (shifts m >= 1) of the folded lattice kernel.
 
-    Sum over the nonzero comb shifts of
+    Sum over the ``remainder_branches`` (m, w) of
 
-    (1/pi*a) int Re exp(i*(theta*x + lam*y)/a)
+    (w/2*pi*a) int_{-pi}^{pi} Re exp(i*(theta*x + lam*y)/a)
                  * exp((t-s)*(1 - cos(lam/a)) + s*(cos(theta/a) - cos(lam/a)))
     dlam,  theta = 2*pi*m - lam.
 
-    The damping factor exp(s*(cos(theta/a) - cos(lam/a))) is < 1 on the
-    annulus, so the remainder vanishes as both times grow: this is the
+    The damping factor exp(s*(cos(theta/a) - cos(lam/a))) is < 1 inside
+    the window, so the remainder vanishes as both times grow: this is the
     entire distance from the lattice kernel to the stationary one.  ``x``
-    and ``y`` may be integer arrays of one shape: one quadrature per branch
-    gives the remainder at every entry.
+    and ``y`` may be integer arrays of one shape: their entries share the
+    blocked quadrature of ``KernelSpec.values``.
     """
-    a = lattice.a
-    x = np.asarray(x)
-    y = np.asarray(y)
-    total = 0.0
-    for m, lo, hi in remainder_branches(lattice):
-        def integrand(lam, m=m):
-            lam = lam.reshape(lam.shape + (1,) * x.ndim)
-            theta = 2.0 * math.pi * m - lam
-            phase = np.cos((theta * x + lam * y) / a)
-            expo = ((t - s) * (1.0 - np.cos(lam / a))
-                    + s * (np.cos(theta / a) - np.cos(lam / a)))
-            return phase * np.exp(expo)
-
-        total += gauss_legendre(integrand, lo, hi, tol=tol) / (math.pi * a)
-    return total
-
-
-def _lattice_sums(lattice: LatticeSpec, s: float, x, t: float, y, *,
-                  eps_tail: float, tol: float, method: str) -> np.ndarray:
-    # The lattice kernel without the backward term at one (s, t), for the
-    # site arrays x, y.  "sum" is the defining sum over initial sites,
-    # sum_j p(s, x|aj) Mhat(t, y - aj); "spectral" the folded principal +
-    # remainder form; "auto" picks the site sum while its cancellation error
-    # stays below ~1e-10.
-    a = lattice.a
-    if method == "auto":
-        method = "sum" if t * (1.0 - math.cos(math.pi / a)) <= _SPECTRAL_SWITCH \
-            else "spectral"
-    if method == "spectral":
-        return (lattice_kernel_g(lattice, t - s, y - x, tol=tol)
-                + lattice_kernel_remainder(lattice, s, x, t, y, tol=tol))
-    # site weights p(s, x|aj) pair with martingale values of size up to
-    # mhat_bound, so push the site radius until their product is tiny.
-    mhat_bound = math.exp(t * (1.0 - math.cos(math.pi / a)))
-    eps_eff = min(0.5, max(eps_tail / mhat_bound, 1e-280))
-    r = truncation_radius(s, eps_eff)
-    j_lo = -((r - x) // a)
-    j_hi = (x + r) // a
-    # rows with no site inside the radius (j_hi < j_lo) sum to zero
-    js = j_lo[:, None] + np.arange(max(int((j_hi - j_lo).max()), 0) + 1)
-    inside = js <= j_hi[:, None]
-    from_x = np.where(inside, np.abs(x[:, None] - a * js), 0)
-    from_y = np.where(inside, np.abs(y[:, None] - a * js), 0)
-    if not inside.any():
-        return np.zeros(len(x))
-    it = scaled_bessel_i_all(int(from_x.max()), s)
-    # Mhat depends on |y - aj| only: one batch over the distinct offsets the
-    # group uses, never split, because the quadrature judges convergence
-    # against the batch's largest value.
-    used = np.sort(from_y[inside])
-    offsets = used[np.concatenate(([True], used[1:] != used[:-1]))]
-    mhat = lattice_martingale_batch(lattice, offsets, t, tol=tol)
-    terms = np.where(inside,
-                     it[from_x] * mhat[np.searchsorted(offsets, from_y)], 0.0)
-    return np.array(list(map(math.fsum, terms.tolist())))
+    return _shift_selection(lattice, s, x, t, y, remainder_branches(lattice),
+                            tol)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +333,9 @@ class KernelSpec:
                           (FiniteConfiguration, LatticeSpec, StationarySpec)):
             raise TypeError(f"unsupported kernel variant {self.variant!r}")
 
-    def values(self, ps: Sequence[SpaceTimePoint],
-               qs: Sequence[SpaceTimePoint], *, eps_tail: float = 1e-14,
-               tol: float = 1e-13, method: str = "auto") -> np.ndarray:
+    def values(self, ps: Sequence[tuple[float, int]],
+               qs: Sequence[tuple[float, int]], *,
+               tol: float = 1e-13) -> np.ndarray:
         """K(ps[i], qs[i]) for every i, as one array.
 
         In the "prob" gauge every variant reads
@@ -350,19 +345,27 @@ class KernelSpec:
         with S the variant's sum over initial sites: sum_j p(s, x|u_j)
         M_j(t, y) for a finite configuration (guarded: ``ConvergenceError``
         when cancellation in the martingale series could cost more than
-        ~1e-10 absolute in an entry), the lattice sum over a*Z (``method``
-        "sum", "spectral" or "auto", with ``eps_tail`` its site truncation),
-        or the stationary band integral int_0^rho (``tol`` is the quadrature
-        tolerance; for s > t the whole kernel is minus the complementary
-        band int_rho^1).  The "paper" gauge multiplies by e^{s-t}.  Work
-        shared between entries (Bessel tables, martingale rows, quadratures)
-        is done once per batch, so callers pass every entry they need at
-        once.
-        """
-        return self._evaluate(ps, qs, False, eps_tail, tol, method)
+        ~1e-10 absolute in an entry), the lattice sum over a*Z (by its
+        folded form), or the stationary band integral int_0^rho (for s > t
+        the whole kernel is minus the complementary band int_rho^1).
+        ``tol`` is the quadrature tolerance.  The "paper" gauge multiplies
+        by e^{s-t}.  Work shared between entries (Bessel tables, martingale
+        rows, quadratures) is done once per batch, so callers pass every
+        entry they need at once.
 
-    def _evaluate(self, ps, qs, matrix: bool, eps_tail: float, tol: float,
-                  method: str) -> np.ndarray:
+        The lattice quadrature stops at 2048 nodes and raises
+        ``ConvergenceError`` there.  While (t - s)*(1 - cos(pi/a)) <= 3 that
+        happens only beyond |y - x| of about 615*a: 1224 is accepted on
+        a = 2, 1844 on a = 3 and 3072 on a = 5 (scanned in steps of 4 at
+        s, t in {0, 1, 4, 8, 16}), and the first refusals lie at 1228-1236,
+        1848-1852 and 3076-3084.  Where t - s is larger the integrand grows
+        like exp((t - s)*(1 - cos(pi/a))) while the kernel need not, so
+        wide pairs are refused earlier: on a = 2 from |y - x| = 100 at
+        (s, t) = (0, 8).
+        """
+        return self._evaluate(ps, qs, False, tol)
+
+    def _evaluate(self, ps, qs, matrix: bool, tol: float) -> np.ndarray:
         # ``values``; with ``matrix`` the batch is the row-major square
         # matrix K(p_i, p_j), whose finite rounding guard is judged after
         # balancing (see _rounding_guard)
@@ -370,8 +373,6 @@ class KernelSpec:
         t, y = _split_points(qs)
         if len(s) != len(t):
             raise ValueError(f"got {len(s)} first points, {len(t)} second")
-        if method not in ("auto", "sum", "spectral"):
-            raise ValueError(f"method must be sum|spectral|auto, got {method!r}")
         if not len(s):
             return np.zeros(0)
         variant = self.variant
@@ -379,11 +380,8 @@ class KernelSpec:
         if isinstance(variant, FiniteConfiguration):
             out, bound = _finite_sums(variant, s, x, t, y)
         elif isinstance(variant, LatticeSpec):
-            out = np.empty(len(s))
-            for (sv, tv), idx in _groups(s, t):
-                out[idx] = _lattice_sums(variant, sv, x[idx], tv, y[idx],
-                                         eps_tail=eps_tail, tol=tol,
-                                         method=method)
+            out = _lattice_sums(variant, s, x, t, y,
+                                [(0, 1.0)] + remainder_branches(variant), tol)
         else:
             out = _stationary_bands(variant.rho, t - s, y - x, tol=tol)
         # the stationary band integral already holds the backward term

@@ -14,8 +14,8 @@ gives the rows of every site at a whole batch of final positions y, built
 on (Y, N, N) arrays in blocks of bounded size.  The series weights are
 integer polynomials in t, evaluated exactly and rounded once; where one
 leaves the double range (N >= 247 sites at t = 0.5) the rows are refused.
-For the infinite equidistant lattice the basis is the sinc function, and
-its martingale is a momentum integral.
+The infinite equidistant lattice a*Z (``LatticeSpec``) needs no site
+martingales here: ``kernels`` folds its site sum into momentum integrals.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .quadrature import gauss_legendre
 
 MAX_MARTINGALE_DEGREE = 12
 
@@ -243,33 +242,3 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
         rows[lo:lo + block] = terms.sum(axis=-1)
         spreads[lo:lo + block] = np.abs(terms).sum(axis=-1)
     return rows, spreads
-
-
-# ---------------------------------------------------------------------------
-# infinite equidistant lattice: martingales of the sinc basis
-# ---------------------------------------------------------------------------
-
-def lattice_martingale_batch(lattice: LatticeSpec, offsets: Sequence[int],
-                             t: float, *, tol: float = 1e-13) -> np.ndarray:
-    """Martingales of lattice sites a*k at (t, y), one per offset y - a*k.
-
-    The martingale of site a*k is the backward transform of its sinc basis
-    function sin(pi(z/a - k)) / (pi(z/a - k)):
-
-        (1/2pi) int_{-pi}^{pi} exp(i*(y/a - k)*lam + t*(1 - cos(lam/a))) dlam,
-
-    which depends on (y, k) only through the offset d = y - a*k and is even
-    in d, so it is evaluated as (1/pi) int_0^pi cos(lam*d/a) exp(t*(1 -
-    cos(lam/a))) dlam, one quadrature for the whole batch.  Reduces to the
-    sinc at t = 0 and to the Kronecker delta at lattice points.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    a = lattice.a
-    d = np.asarray(offsets, dtype=float)
-
-    def integrand(lam):
-        lam = lam[:, None]
-        return np.cos(lam * d / a) * np.exp(t * (1.0 - np.cos(lam / a)))
-
-    return gauss_legendre(integrand, 0.0, math.pi, tol=tol) / math.pi

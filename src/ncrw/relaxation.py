@@ -32,9 +32,8 @@ def remainder_damping_max(lattice: LatticeSpec, s_scale: float = 1.0, *,
     """
     a = lattice.a
     worst = 0.0
-    nodes, _ = _leggauss(n_nodes)
-    for m, lo, hi in remainder_branches(lattice):
-        lam = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    lam = math.pi * _leggauss(n_nodes)[0]
+    for m, _ in remainder_branches(lattice):
         theta = 2.0 * math.pi * m - lam
         damp = np.exp(s_scale * (np.cos(theta / a) - np.cos(lam / a)))
         worst = max(worst, float(damp.max()))

@@ -4,7 +4,8 @@ These deliberately avoid the package's evaluation strategies: direct
 series summation with compensated accumulation for the Bessel values, the
 signed Bessel transform summed ring by ring for site martingales (in
 double precision, and at 60 digits with mpmath), the site-martingale rows
-built one final site at a time, Karlin-McGregor determinants of scipy's
+built one final site at a time, the lattice kernel by its defining sum
+over initial sites, Karlin-McGregor determinants of scipy's
 ``ive`` for equal-time correlations, a jump-chain level simulation for
 exit probabilities, and per-sample walk paths with a jump-by-jump
 exit-time loop as the reference for the block sampler.
@@ -21,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncrw.bessel import scaled_bessel_i, scaled_bessel_i_all
+from ncrw.bessel import scaled_bessel_i, scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
-from ncrw.kernels import KernelSpec, SpaceTimePoint, StationarySpec
+from ncrw.kernels import KernelSpec, StationarySpec
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
                               _series_weights, lagrange_basis)
+from ncrw.quadrature import gauss_legendre
 
 
 def bessel_series(n: int, z: float) -> float:
@@ -148,13 +150,13 @@ def gauge_transform(kernel, f):
     """
 
     def transformed(p, q):
-        sp = SpaceTimePoint(float(p[0]), int(p[1]))
-        sq = SpaceTimePoint(float(q[0]), int(q[1]))
-        fp = f(sp.t, sp.x)
-        fq = f(sq.t, sq.x)
+        sp = (float(p[0]), int(p[1]))
+        sq = (float(q[0]), int(q[1]))
+        fp = f(*sp)
+        fq = f(*sq)
         if not (fp > 0.0 and fq > 0.0):
             raise ValueError(
-                f"gauge weight must be positive, got f{tuple(sp)}={fp}, f{tuple(sq)}={fq}")
+                f"gauge weight must be positive, got f{sp}={fp}, f{sq}={fq}")
         return fq / fp * kernel(sp, sq)
 
     return transformed
@@ -173,6 +175,65 @@ def relaxation_gap(lattice: LatticeSpec, s: float, x: int, t: float, y: int,
     sta = KernelSpec(StationarySpec(lattice.density)).values(
         [(s, x)], [(t, y)], tol=tol)
     return abs(float(lat[0] - sta[0]))
+
+
+# ---------------------------------------------------------------------------
+# infinite lattice: the defining sum over initial sites
+# ---------------------------------------------------------------------------
+
+def lattice_martingale_batch(lattice: LatticeSpec, offsets, t: float, *,
+                             tol: float = 1e-13) -> np.ndarray:
+    """Martingales of lattice sites a*k at (t, y), one per offset y - a*k.
+
+    The martingale of site a*k is the backward transform of its sinc basis
+    function sin(pi(z/a - k)) / (pi(z/a - k)):
+
+        (1/2pi) int_{-pi}^{pi} exp(i*(y/a - k)*lam + t*(1 - cos(lam/a))) dlam,
+
+    which depends on (y, k) only through the offset d = y - a*k and is even
+    in d, so it is evaluated as (1/pi) int_0^pi cos(lam*d/a) exp(t*(1 -
+    cos(lam/a))) dlam, one quadrature for the whole batch.  Reduces to the
+    sinc at t = 0 and to the Kronecker delta at lattice points.  Equals
+    a * ``lattice_kernel_g`` at dt = t.
+    """
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    a = lattice.a
+    d = np.asarray(offsets, dtype=float)
+
+    def integrand(lam):
+        lam = lam[:, None]
+        return np.cos(lam * d / a) * np.exp(t * (1.0 - np.cos(lam / a)))
+
+    return gauss_legendre(integrand, 0.0, math.pi, tol=tol) / math.pi
+
+
+def lattice_kernel_site_sum(lattice: LatticeSpec, s: float, x: int, t: float,
+                            y: int, *, eps_tail: float = 1e-14,
+                            tol: float = 1e-13) -> float:
+    """Lattice kernel K(s, x; t, y) (prob gauge) by its defining site sum,
+
+        sum_j p(s, x|aj) Mhat(t, y - aj) - 1(s>t) p(s-t, x|y),
+
+    over the sites aj within the radius where p(s, x|aj) times the largest
+    martingale exp(t*(1 - cos(pi/a))) drops below ``eps_tail``, summed by
+    fsum.  Its terms grow like that bound, so its cancellation error does
+    too: a reference while t*(1 - cos(pi/a)) stays small.
+    """
+    a = lattice.a
+    growth = math.exp(t * (1.0 - math.cos(math.pi / a)))
+    r = truncation_radius(s, min(0.5, max(eps_tail / growth, 1e-280)))
+    js = range(-((r - x) // a), (x + r) // a + 1)
+    value = 0.0
+    if len(js):
+        gaps = [abs(x - a * j) for j in js]
+        weights = scaled_bessel_i_all(max(gaps), s)[gaps]
+        mhat = lattice_martingale_batch(lattice, [y - a * j for j in js], t,
+                                        tol=tol)
+        value = math.fsum((weights * mhat).tolist())
+    if s > t:
+        value -= scaled_bessel_i(abs(x - y), s - t)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,15 @@ class TestKernelCommand:
                            "--point", "-0.5,0", "--point", "0.5,1"])
         assert code == 2
 
+    def test_lattice_pair_beyond_domain_exits_1(self, capsys):
+        # |y - x| = 1240 on 2Z: beyond 2048 quadrature nodes
+        code, out = run_cli(["kernel", "--spec", "lattice:2",
+                             "--point", "1,0", "--point", "1,1240"])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "numerical convergence failure" in err and "2048" in err
+        assert "Traceback" not in err
+
 
 class TestDensityCommand:
     def test_initial_indicator_csv(self):

@@ -11,13 +11,15 @@ from ncrw.bessel import scaled_bessel_i, truncation_radius
 from ncrw.correlations import (MultiTimePointSet, correlation_function,
                                density_profile, kernel_matrix)
 from ncrw.errors import ConvergenceError
-from ncrw.kernels import (GAUGES, KernelSpec, SpaceTimePoint, StationarySpec,
+from ncrw.kernels import (GAUGES, KernelSpec, StationarySpec,
                           lattice_kernel_g, lattice_kernel_remainder,
                           sine_kernel)
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
                               lagrange_basis)
 from ncrw.quadrature import gauss_legendre
-from oracles import gauge_transform, karlin_mcgregor, kernel_finite_mpmath
+from ncrw.relaxation import relaxation_sweep
+from oracles import (gauge_transform, karlin_mcgregor, kernel_finite_mpmath,
+                     lattice_kernel_site_sum)
 
 WIDE = FiniteConfiguration.equidistant(2, 20)  # 2Z in [-20, 20], N = 21
 
@@ -270,21 +272,33 @@ class TestKernelLattice:
         ((1.5, 0), (0.7, 2)), ((6.0, 0), (6.0, 1)), ((8.0, 1), (8.0, 3)),
     ])
     def test_sum_and_spectral_routes_agree(self, pt):
+        # the folded route against the defining site sum
         lat = LatticeSpec(2)
         p, q = pt
-        a = kernel_value(lat, p, q, method="sum")
-        b = kernel_value(lat, p, q, method="spectral")
+        a = lattice_kernel_site_sum(lat, *p, *q)
+        b = kernel_value(lat, p, q)
         assert a == pytest.approx(b, abs=1e-11)
 
     def test_spacing_three_routes_agree(self):
         lat = LatticeSpec(3)
         for p, q in [((0.5, 0), (0.5, 1)), ((1.0, 2), (2.0, 0))]:
-            a = kernel_value(lat, p, q, method="sum")
-            b = kernel_value(lat, p, q, method="spectral")
+            a = lattice_kernel_site_sum(lat, *p, *q)
+            b = kernel_value(lat, p, q)
             assert a == pytest.approx(b, abs=1e-11)
 
-    def test_auto_switches_to_spectral(self):
-        # far beyond the site-sum regime: still finite, near stationary
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.sampled_from([2, 3, 4, 5, 7]),
+           s=st.integers(0, 16), t=st.integers(0, 16),
+           x=st.integers(-12, 12), y=st.integers(-12, 12))
+    def test_matches_site_sum_oracle(self, a, s, t, x, y):
+        # s and t on the quarter grid up to 4, s = 0 and s > t included
+        lat = LatticeSpec(a)
+        want = lattice_kernel_site_sum(lat, s / 4, x, t / 4, y)
+        got = kernel_value(lat, (s / 4, x), (t / 4, y))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_large_time_near_stationary(self):
+        # at tau = 64 the remainder is small: near the sine kernel
         lat = LatticeSpec(2)
         v = kernel_value(lat, (64.0, 0), (64.0, 0))
         assert abs(v - 0.5) < 3e-3
@@ -307,9 +321,9 @@ class TestKernelLattice:
                                      rel=1e-12)
 
     def test_far_pair_refused_on_a_small_batch(self):
-        # the site sum integrates only the offsets near |y - x|, so an
-        # unreachable far pair fails its quadrature without allocating
-        # node tables over every offset from 0 to 100000
+        # a batch of one key fails its quadrature at 2048 nodes; nothing
+        # is allocated per offset from 0 to 100000, as a site sum over
+        # every offset would
         tracemalloc.start()
         try:
             with pytest.raises(ConvergenceError):
@@ -319,10 +333,32 @@ class TestKernelLattice:
             tracemalloc.stop()
         assert peak < 20e6
 
-    def test_method_guard(self):
-        with pytest.raises(ValueError):
-            kernel_value(LatticeSpec(2), (0.5, 0), (0.5, 0),
-                           method="magic")
+    def test_wide_sweep_is_blocked(self):
+        # 2408 cells (dx 0..300, 8 taus) in one batch: one quadrature over
+        # every key at once would stack ~100 MB of node tables
+        taus = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+        relaxation_sweep(LatticeSpec(2), [(0.0, 1)], taus)
+        tracemalloc.start()
+        try:
+            report = relaxation_sweep(LatticeSpec(2),
+                                      [(0.0, dx) for dx in range(301)], taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.gaps.shape == (8, 301)
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("a, inside, beyond", [(2, 1200, 1240),
+                                                    (3, 1800, 1860),
+                                                    (5, 3000, 3090)])
+    def test_displacement_domain(self, a, inside, beyond):
+        # the stated limit of 2048 nodes: |y - x| up to about 615 a
+        lat = LatticeSpec(a)
+        got = kernel_value(lat, (1.0, 0), (1.0, inside))
+        want = lattice_kernel_site_sum(lat, 1.0, 0, 1.0, inside)
+        assert got == pytest.approx(want, abs=1e-13)
+        with pytest.raises(ConvergenceError):
+            kernel_value(lat, (1.0, 0), (1.0, beyond))
 
 
 class TestKernelStationary:
@@ -432,31 +468,17 @@ class TestKernelSpec:
 
     def test_evaluate_passes_tolerances(self):
         s = KernelSpec(LatticeSpec(2))
-        p, q = (0.5, 0), (1.0, 1)
-        for opts in ({"eps_tail": 1e-10}, {"tol": 1e-9},
-                     {"method": "spectral"}):
-            # kernel_matrix hands its options to values; (p, q) is the only
-            # entry at its (s, t) there, so the two are computed alike
-            assert s.values([p], [q], **opts)[0] == kernel_matrix(
-                s, [p, q], **opts)[0, 1]
-        loose = s.values([p], [q], eps_tail=1e-10)[0]
-        tight = s.values([p], [q], eps_tail=1e-15)[0]
-        assert loose != tight
-        assert loose == pytest.approx(tight, abs=1e-9)
-        # method picks the route: the two agree, but not bit for bit
-        by_sum = s.values([p], [(3.0, 4)], method="sum")[0]
-        by_spectral = s.values([p], [(3.0, 4)], method="spectral")[0]
-        assert by_sum != by_spectral
-        assert by_sum == pytest.approx(by_spectral, abs=1e-11)
-        # tol decides where node doubling stops at these far points
-        for method, far in (("sum", (0.75, 33)), ("spectral", (0.75, 43))):
-            loose = s.values([p], [far], method=method, tol=1e-9)[0]
-            tight = s.values([p], [far], method=method, tol=1e-13)[0]
+        p = (0.5, 0)
+        # tol decides where node doubling stops at this far point, in
+        # values and in kernel_matrix, which hands it on
+        far = (0.75, 22)
+        for kernel in (lambda tol: s.values([p], [far], tol=tol)[0],
+                       lambda tol: kernel_matrix(s, [p, far], tol=tol)[0, 1]):
+            loose, tight = kernel(1e-9), kernel(1e-13)
             assert loose != tight
             assert loose == pytest.approx(tight, abs=1e-12)
 
     def test_point_validation(self):
-        assert SpaceTimePoint(1.0, 2) == (1.0, 2)
         with pytest.raises(ValueError):
             KernelSpec(FiniteConfiguration((0,))).values([(1.0, 0.5)],
                                                          [(1.0, 0)])
@@ -471,8 +493,8 @@ class TestBatchedValues:
     @pytest.mark.parametrize("gauge", ["prob", "paper"])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matrix_equals_entries_one_at_a_time(self, variant, gauge):
-        # random times cross the lattice switch (t = 10 at a = 2) and repeat
-        # within the matrix, so batches share tables and quadratures
+        # random times repeat within the matrix, so batches share tables and
+        # quadratures; at t = 12 the a = 2 lattice integrand grows like e^12
         spec = KernelSpec(variant, gauge)
         rng = np.random.default_rng(11)
         times = [0.0, 0.75, 2.5] if isinstance(variant, FiniteConfiguration) \

@@ -9,12 +9,11 @@ from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
                               LatticeSpec, _series_weights, lagrange_basis,
-                              lattice_martingale_batch,
                               martingale_coefficients, martingale_polynomial,
                               site_martingale_rows, vandermonde)
 from oracles import (backward_transform, backward_transform_exp,
-                     esscher_weight, lattice_basis, ring_site_martingale_row,
-                     site_martingale_row_loop)
+                     esscher_weight, lattice_basis, lattice_martingale_batch,
+                     ring_site_martingale_row, site_martingale_row_loop)
 
 
 def transition_weights(t, center, radius):

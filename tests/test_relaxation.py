@@ -10,13 +10,13 @@ from ncrw.martingales import LatticeSpec
 from ncrw.quadrature import gauss_legendre
 from ncrw.relaxation import (RelaxationReport, relaxation_sweep,
                              remainder_damping_max)
-from oracles import relaxation_gap
+from oracles import lattice_kernel_site_sum, relaxation_gap
 
 LAT2 = LatticeSpec(2)
 
 
-def kernel_value(lattice, p, q, **opts):
-    return KernelSpec(lattice).values([p], [q], **opts)[0]
+def kernel_value(lattice, p, q):
+    return KernelSpec(lattice).values([p], [q])[0]
 
 
 class TestDecomposition:
@@ -25,7 +25,7 @@ class TestDecomposition:
     ])
     def test_site_sum_equals_principal_plus_remainder(self, s, x, t, y):
         # the defining site sum against the analytically folded form
-        kl = kernel_value(LAT2, (s, x), (t, y), method="sum")
+        kl = lattice_kernel_site_sum(LAT2, s, x, t, y)
         indicator = scaled_bessel_i(abs(x - y), s - t) if s > t else 0.0
         got = kl + indicator
         want = lattice_kernel_g(LAT2, t - s, y - x) + \
@@ -35,7 +35,7 @@ class TestDecomposition:
     def test_spacing_three(self):
         lat = LatticeSpec(3)
         s, x, t, y = 1.0, 0, 2.0, 1
-        kl = kernel_value(lat, (s, x), (t, y), method="sum")
+        kl = lattice_kernel_site_sum(lat, s, x, t, y)
         want = lattice_kernel_g(lat, t - s, y - x) + \
             lattice_kernel_remainder(lat, s, x, t, y)
         assert kl == pytest.approx(want, abs=1e-8)
