@@ -10,23 +10,21 @@ cross-validates everything with two Monte Carlo estimators; and measures
 the relaxation of the lattice process to equilibrium.
 """
 
-from .bessel import (scaled_bessel_i, scaled_bessel_i_all,
-                     transition_probability, transition_probability_poisson,
+from .bessel import (scaled_bessel_i_all, transition_probability_poisson,
                      transition_probability_quadrature, truncation_radius)
-from .correlations import (CorrelationEntry, CorrelationTable,
-                           MultiTimePointSet, TestFunctionSet,
+from .correlations import (MultiTimePointSet, TestFunctionSet,
                            correlation_from_points, correlation_function,
                            density_profile, fredholm_generating_function,
                            kernel_matrix)
 from .errors import ConvergenceError
 from .kernels import (KernelSpec, StationarySpec, lattice_kernel_g,
                       lattice_kernel_remainder, sine_kernel)
-from .martingales import (FiniteConfiguration, LatticeSpec, lagrange_basis,
+from .martingales import (FiniteConfiguration, LatticeSpec,
                           martingale_coefficients, martingale_polynomial,
-                          site_martingale_rows, vandermonde)
+                          site_martingale_rows)
 from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
-                         absorbed_weight_mean, empirical_correlation,
-                         estimate_many, vandermonde_ratio)
+                         absorbed_weight_mean, estimate_many,
+                         vandermonde_ratio)
 from .relaxation import (RelaxationReport, relaxation_sweep,
                          remainder_damping_max)
 
@@ -34,20 +32,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "CorrelationEntry", "CorrelationTable", "MultiTimePointSet",
-    "TestFunctionSet", "correlation_from_points", "correlation_function",
-    "density_profile", "fredholm_generating_function", "kernel_matrix",
-    "scaled_bessel_i", "scaled_bessel_i_all", "transition_probability",
-    "transition_probability_poisson", "transition_probability_quadrature",
-    "truncation_radius",
+    "MultiTimePointSet", "TestFunctionSet", "correlation_from_points",
+    "correlation_function", "density_profile", "fredholm_generating_function",
+    "kernel_matrix",
+    "scaled_bessel_i_all", "transition_probability_poisson",
+    "transition_probability_quadrature", "truncation_radius",
     "KernelSpec", "StationarySpec", "lattice_kernel_g",
     "lattice_kernel_remainder", "sine_kernel",
-    "FiniteConfiguration", "LatticeSpec", "lagrange_basis",
-    "martingale_coefficients", "martingale_polynomial",
-    "site_martingale_rows", "vandermonde",
+    "FiniteConfiguration", "LatticeSpec", "martingale_coefficients",
+    "martingale_polynomial", "site_martingale_rows",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
-    "absorbed_weight_mean", "empirical_correlation", "estimate_many",
-    "vandermonde_ratio",
+    "absorbed_weight_mean", "estimate_many", "vandermonde_ratio",
     "RelaxationReport", "relaxation_sweep", "remainder_damping_max",
     "__version__",
 ]

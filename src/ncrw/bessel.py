@@ -7,7 +7,8 @@ Everything downstream is built from the scaled function
 which stays in [0, 1] and therefore never overflows.  ``I_n`` is the
 modified Bessel function of the first kind of integer order.  The single
 step transition probability of the continuous-time simple symmetric
-random walk on Z is exactly ``p(t, y|x) = itilde_{|y-x|}(t)``; two
+random walk on Z is exactly ``p(t, y|x) = itilde_{|y-x|}(t)``, read from
+one table: ``scaled_bessel_i_all(n, t)[n]`` with n = |y - x|.  Two
 independent evaluation routes (Fourier quadrature and Poissonization of
 the discrete walk) are provided as oracles for it.
 
@@ -63,11 +64,6 @@ def _miller_all(n_max: int, t: float) -> np.ndarray:
     return f[:n_max + 1] / norm
 
 
-def scaled_bessel_i(n: int, t: float) -> float:
-    """exp(-t) * I_n(t) for integer order n >= 0 and t >= 0."""
-    return float(scaled_bessel_i_all(n, t)[int(n)])
-
-
 @lru_cache(maxsize=512)
 def _scaled_all_cached(n_max: int, t: float) -> np.ndarray:
     if t < _SERIES_T_MAX:
@@ -101,7 +97,7 @@ def scaled_bessel_i_all(n_max: int, t: float) -> np.ndarray:
     return _scaled_all_cached(int(n_max), float(t))
 
 
-def truncation_radius(t: float, eps: float = 1e-16) -> int:
+def truncation_radius(t: float, eps: float) -> int:
     """Largest order n with itilde_n(t) >= eps (0 if none).
 
     itilde_n(t) is decreasing in n, so lattice sums over |y - x| <= radius
@@ -125,23 +121,14 @@ def truncation_radius(t: float, eps: float = 1e-16) -> int:
                                    f"no decay below {eps:g} found for t={t}")
 
 
-def transition_probability(t: float, x: int, y: int) -> float:
-    """p(t, y|x) = exp(-t) I_{|y-x|}(t); Kronecker delta at t = 0."""
-    return scaled_bessel_i(abs(int(y) - int(x)), t)
-
-
-def transition_probability_quadrature(t: float, x: int, y: int, *,
-                                      tol: float = 1e-14,
-                                      n_start: int = 16) -> float:
+def transition_probability_quadrature(t: float, x: int, y: int) -> float:
     """p(t, y|x) as (1/2pi) int_{-pi}^{pi} e^{ik(y-x)} e^{-(1-cos k)t} dk.
 
     The integrand is entire and 2pi-periodic, so the equally weighted
     periodic rule converges spectrally; nodes double until successive
-    levels agree.  Independent of the Bessel evaluation path.
+    levels agree to 1e-14.  Independent of the Bessel evaluation path.
     """
     _check_order_time(0, t)
-    if n_start < 4:
-        raise ValueError(f"node count must be >= 4, got {n_start}")
     d = abs(int(y) - int(x))
 
     def integrand(k):
@@ -149,17 +136,17 @@ def transition_probability_quadrature(t: float, x: int, y: int, *,
 
     # resolve the cos(d*k) oscillation from the first level on: coarser
     # grids alias it onto low harmonics that survive one doubling.
-    return periodic_mean(integrand, n_start=max(n_start, 2 * d + 16), tol=tol)
+    return periodic_mean(integrand, n_start=2 * d + 16, tol=1e-14)
 
 
-def transition_probability_poisson(t: float, x: int, y: int, *,
-                                   eps: float = 1e-18) -> float:
+def transition_probability_poisson(t: float, x: int, y: int) -> float:
     """p(t, y|x) by Poissonization of the discrete-time simple walk.
 
     sum_j e^{-t} t^j / j! * P(S_j = y - x) with S_j the j-step +-1 walk,
     P(S_j = d) = C(j, (j+d)/2) / 2^j for j >= |d|, j = d (mod 2).
     Binomial masses come from exact integer combinatorics; the outer sum
-    is compensated.  Third independent route for the transition kernel.
+    is compensated and stops past j = t once the Poisson weight drops below
+    1e-18.  Third independent route for the transition kernel.
     """
     _check_order_time(0, t)
     d = abs(int(y) - int(x))
@@ -169,7 +156,7 @@ def transition_probability_poisson(t: float, x: int, y: int, *,
     while True:
         if j >= d and (j - d) % 2 == 0 and weight > 0.0:
             terms.append(weight * (math.comb(j, (j + d) // 2) / 2.0 ** j))
-        if j > t and (weight < eps or weight == 0.0):
+        if j > t and weight < 1e-18:
             break
         j += 1
         weight *= t / j

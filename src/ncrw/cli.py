@@ -150,10 +150,6 @@ def _parse_at_groups(at_args: list[str]) -> MultiTimePointSet:
     return MultiTimePointSet(tuple(groups))
 
 
-def _spec_opts(cfg: RunConfig) -> dict:
-    return {"tol": cfg.tol_quad}
-
-
 def _points_doc(pts: MultiTimePointSet) -> list:
     return [[t, list(sites)] for t, sites in pts.groups]
 
@@ -164,7 +160,13 @@ def _points_doc(pts: MultiTimePointSet) -> list:
 
 def _cmd_kernel(args, cfg: RunConfig) -> int:
     spec = KernelSpec.parse(args.spec, args.gauge)
+    if (args.dt is None) != (args.dx is None):
+        raise ValueError("--dt and --dx go together")
+    if args.dt is not None and not isinstance(spec.variant, StationarySpec):
+        raise ValueError("--dt/--dx need a stationary spec")
     if args.grid:
+        if cfg.output == "json":
+            raise ValueError("--grid writes CSV only")
         parts = args.grid.split(",")
         if len(parts) != 4:
             raise ValueError("--grid expects 'S,XLO:XHI,T,YLO:YHI'")
@@ -172,14 +174,12 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
         cells = [(x, y) for x in _parse_range(parts[1])
                  for y in _parse_range(parts[3])]
         values = spec.values([(s, x) for x, _ in cells],
-                             [(t, y) for _, y in cells], **_spec_opts(cfg))
+                             [(t, y) for _, y in cells], tol=cfg.tol_quad)
         _emit_csv(["s", "x", "t", "y", "value"],
                   [[_fmt(s), x, _fmt(t), y, v]
                    for (x, y), v in zip(cells, values.tolist())], cfg)
         return 0
-    if isinstance(spec.variant, StationarySpec) and args.dt is not None:
-        if args.dx is None:
-            raise ValueError("--dt requires --dx")
+    if args.dt is not None:
         points = [[0.0, 0], [args.dt, args.dx]] if args.dt >= 0 \
             else [[-args.dt, 0], [0.0, args.dx]]
         p, q = points
@@ -189,7 +189,7 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
                              "(or --dt/--dx with a stationary spec)")
         p, q = (_parse_point(v) for v in args.point)
         points = [list(p), list(q)]
-    value = spec.values([p], [q], **_spec_opts(cfg)).item()
+    value = spec.values([p], [q], tol=cfg.tol_quad).item()
     if cfg.output == "json":
         _emit_json({"spec": args.spec, "gauge": args.gauge,
                     "points": points, "value": value}, cfg)
@@ -205,7 +205,7 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
 def _cmd_density(args, cfg: RunConfig) -> int:
     spec = KernelSpec.parse(args.spec, args.gauge)
     window = _parse_range(args.window)
-    rho = density_profile(spec, args.t, window, **_spec_opts(cfg)).tolist()
+    rho = density_profile(spec, args.t, window, tol=cfg.tol_quad).tolist()
     if cfg.output == "json":
         _emit_json({"spec": args.spec, "t": args.t,
                     "rows": [[x, v] for x, v in zip(window, rho)]}, cfg)
@@ -218,7 +218,7 @@ def _cmd_density(args, cfg: RunConfig) -> int:
 def _cmd_correlation(args, cfg: RunConfig) -> int:
     spec = KernelSpec.parse(args.spec, args.gauge)
     pts = _parse_at_groups(args.at)
-    value = correlation_function(spec, pts, **_spec_opts(cfg))
+    value = correlation_function(spec, pts, tol=cfg.tol_quad)
     if cfg.output == "csv":
         _emit_csv(["points", "value"],
                   [[";".join(f"{t}:" + "|".join(map(str, sites))
@@ -238,7 +238,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     result = estimate_many(config, [OccupationProduct(pts)], args.T,
                            args.samples, cfg.seed, args.estimator)[0]
     analytic = correlation_function(KernelSpec(config), pts,
-                                    **_spec_opts(cfg))
+                                    tol=cfg.tol_quad)
     z = (result.mean - analytic) / result.std_error \
         if result.std_error > 0 else None
     doc = {
@@ -265,6 +265,8 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 def _cmd_relaxation(args, cfg: RunConfig) -> int:
     lattice = LatticeSpec(args.a)
+    if args.dx_max < 0:
+        raise ValueError(f"--dx-max must be >= 0, got {args.dx_max}")
     taus = tuple(float(v) for v in args.tau.split(","))
     displacements = [(args.dt, dx) for dx in range(0, args.dx_max + 1)]
     report = relaxation_sweep(lattice, displacements, taus,
@@ -298,7 +300,10 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs a large share of a small request, and
+    # parse_args leaves it unchanged, so one instance serves every call.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-quad", dest="tol_quad", type=float,
                         default=None,
@@ -325,14 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--spec", required=True,
                    help="finite:u1,u2,... | lattice:a | stationary:rho")
     k.add_argument("--gauge", choices=("prob", "paper"), default="prob")
-    k.add_argument("--point", action="append", metavar="T,X",
-                   help="space-time point; give twice")
-    k.add_argument("--dt", type=float, default=None,
-                   help="time lag (stationary spec only)")
+    where = k.add_mutually_exclusive_group()
+    where.add_argument("--point", action="append", metavar="T,X",
+                       help="space-time point; give twice")
+    where.add_argument("--dt", type=float, default=None,
+                       help="time lag (stationary spec only; with --dx)")
+    where.add_argument("--grid", metavar="S,XLO:XHI,T,YLO:YHI", default=None,
+                       help="emit CSV over a product of site ranges")
     k.add_argument("--dx", type=int, default=None,
-                   help="displacement (stationary spec only)")
-    k.add_argument("--grid", metavar="S,XLO:XHI,T,YLO:YHI", default=None,
-                   help="emit CSV over a product of site ranges")
+                   help="displacement (with --dt)")
     k.set_defaults(handler=_cmd_kernel)
 
     d = sub.add_parser("density", parents=[common],
@@ -374,13 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the numerical acceptance checks")
     st.set_defaults(handler=_cmd_selftest)
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # Building the parser costs a large share of a small request, and
-    # parse_args leaves it unchanged, so one instance serves every call.
-    return build_parser()
 
 
 # options whose values may start with '-' (ranges, point lists, site lists);

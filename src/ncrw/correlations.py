@@ -16,9 +16,21 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec
+from .martingales import _integers
 
 MAX_CORRELATION_POINTS = 12
 MAX_FREDHOLM_SUPPORT = 14
+
+
+def _timed(groups) -> list[tuple[float, tuple]]:
+    # (t, payload) groups with float times, finite, >= 0 and increasing
+    groups = [(float(t), tuple(payload)) for t, payload in groups]
+    times = [t for t, _ in groups]
+    if not all(0 <= t < math.inf for t in times):
+        raise ValueError(f"times must be finite and >= 0, got {times}")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times must be strictly increasing, got {times}")
+    return groups
 
 
 @dataclass(frozen=True)
@@ -29,19 +41,13 @@ class MultiTimePointSet:
 
     def __post_init__(self):
         norm = []
-        for t, sites in self.groups:
-            pt = float(t)
-            if not math.isfinite(pt) or pt < 0:
-                raise ValueError(f"times must be finite and >= 0, got {t}")
-            ss = tuple(int(s) for s in sites)
+        for t, sites in _timed(self.groups):
+            ss = _integers(sites, "sites")
             if not ss:
                 raise ValueError("every time group needs at least one site")
             if any(b <= a for a, b in zip(ss, ss[1:])):
                 raise ValueError(f"sites within a group must increase, got {ss}")
-            norm.append((pt, ss))
-        times = [t for t, _ in norm]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"times must be strictly increasing, got {times}")
+            norm.append((t, ss))
         object.__setattr__(self, "groups", tuple(norm))
 
     def flatten(self) -> list[tuple[float, int]]:
@@ -54,24 +60,6 @@ class MultiTimePointSet:
     @property
     def max_time(self) -> float:
         return self.groups[-1][0]
-
-
-@dataclass(frozen=True)
-class CorrelationEntry:
-    points: MultiTimePointSet
-    value: float
-    std_error: float | None = None
-
-
-@dataclass(frozen=True)
-class CorrelationTable:
-    entries: tuple[CorrelationEntry, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]], *,
@@ -91,14 +79,14 @@ def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]], *,
 
 
 def correlation_from_points(spec: KernelSpec,
-                            points: Sequence[tuple[float, int]],
-                            **opts) -> float:
+                            points: Sequence[tuple[float, int]], *,
+                            tol: float = 1e-13) -> float:
     """det K over an explicit point list (no ordering constraints)."""
-    return float(np.linalg.det(kernel_matrix(spec, points, **opts)))
+    return float(np.linalg.det(kernel_matrix(spec, points, tol=tol)))
 
 
-def correlation_function(spec: KernelSpec, pts: MultiTimePointSet,
-                         **opts) -> float:
+def correlation_function(spec: KernelSpec, pts: MultiTimePointSet, *,
+                         tol: float = 1e-13) -> float:
     """Correlation of occupying all sites of ``pts`` at their times.
 
     Determinant of the n x n kernel matrix over the flattened points;
@@ -109,11 +97,11 @@ def correlation_function(spec: KernelSpec, pts: MultiTimePointSet,
         raise ValueError(
             f"point set has {n} points, above the determinant guard "
             f"{MAX_CORRELATION_POINTS}")
-    return correlation_from_points(spec, pts.flatten(), **opts)
+    return correlation_from_points(spec, pts.flatten(), tol=tol)
 
 
-def density_profile(spec: KernelSpec, t: float, window: Sequence[int],
-                    **opts) -> np.ndarray:
+def density_profile(spec: KernelSpec, t: float, window: Sequence[int], *,
+                    tol: float = 1e-13) -> np.ndarray:
     """One-point correlation K(t,x;t,x) for x over the window.
 
     Evaluates the diagonal only: off-diagonal entries of a wide window can
@@ -121,7 +109,7 @@ def density_profile(spec: KernelSpec, t: float, window: Sequence[int],
     accurate.
     """
     pts = [(t, x) for x in window]
-    return spec.values(pts, pts, **opts)
+    return spec.values(pts, pts, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -137,18 +125,12 @@ class TestFunctionSet:
 
     def __post_init__(self):
         norm = []
-        for t, support in self.groups:
-            pt = float(t)
-            if not math.isfinite(pt) or pt < 0:
-                raise ValueError(f"times must be finite and >= 0, got {t}")
-            sup = tuple(sorted((int(x), float(f)) for x, f in support))
-            sites = [x for x, _ in sup]
+        for t, support in _timed(self.groups):
+            sites = _integers((x for x, _ in support), "support sites")
             if len(set(sites)) != len(sites):
                 raise ValueError(f"duplicate support site at time {t}")
-            norm.append((pt, sup))
-        times = [t for t, _ in norm]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"times must be strictly increasing, got {times}")
+            sup = tuple(sorted(zip(sites, (float(f) for _, f in support))))
+            norm.append((t, sup))
         object.__setattr__(self, "groups", tuple(norm))
 
     @classmethod
@@ -166,7 +148,7 @@ class TestFunctionSet:
 
 
 def fredholm_generating_function(spec: KernelSpec, tests: TestFunctionSet,
-                                 **opts) -> float:
+                                 *, tol: float = 1e-13) -> float:
     """Moment generating functional det(I + K chi) over the test support.
 
     Exact (up to kernel truncation error) because chi is supported on
@@ -179,5 +161,5 @@ def fredholm_generating_function(spec: KernelSpec, tests: TestFunctionSet,
         raise ValueError(f"test support of {n} points above guard {MAX_FREDHOLM_SUPPORT}")
     points = [(t, x) for t, x, _ in chi_pts]
     chi = np.array([c for _, _, c in chi_pts])
-    mat = np.eye(n) + kernel_matrix(spec, points, **opts) * chi[None, :]
+    mat = np.eye(n) + kernel_matrix(spec, points, tol=tol) * chi[None, :]
     return float(np.linalg.det(mat))

@@ -30,7 +30,15 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-MAX_MARTINGALE_DEGREE = 12
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    # values as ints, refusing a non-integral or non-finite one instead of
+    # truncating it toward zero
+    values = tuple(values)
+    for v in values:
+        if not (isinstance(v, (int, np.integer)) or float(v).is_integer()):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ class FiniteConfiguration:
     sites: tuple[int, ...]
 
     def __post_init__(self):
-        sites = tuple(int(s) for s in self.sites)
+        sites = _integers(self.sites, "sites")
         if len(sites) < 1:
             raise ValueError("configuration needs at least one site")
         if any(b <= a for a, b in zip(sites, sites[1:])):
@@ -93,61 +101,29 @@ def _series_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _martingale_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # m_n(t, x) = sum_j n!/j! b_{n-j}(t) x^j, and n!/j! b_{n-j} is
-    # C(n, j) times the integer polynomial (n-j)! b_{n-j}
+def martingale_coefficients(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact coefficient table of m_n: entry j is the t-polynomial on x^j.
+
+    m_n(t, x) = sum_j (sum_p coeffs[j][p] t^p) x^j, generated once by exact
+    rational convolution of exp(a*x) with the even series of
+    exp(-t*(cosh a - 1)): n!/j! b_{n-j}(t) is C(n, j) times the integer
+    polynomial (n-j)! b_{n-j}.  Monic with m_n(0, x) = x^n by construction.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
     return tuple(tuple(Fraction(math.comb(n, j) * c)
                        for c in _series_polynomial(n - j))
                  for j in range(n + 1))
 
 
-def martingale_coefficients(n: int, *, n_max: int = MAX_MARTINGALE_DEGREE
-                            ) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact coefficient table of m_n: entry j is the t-polynomial on x^j.
-
-    m_n(t, x) = sum_j (sum_p coeffs[j][p] t^p) x^j, generated once by exact
-    rational convolution of exp(a*x) with the even series of
-    exp(-t*(cosh a - 1)).  Monic with m_n(0, x) = x^n by construction.
-    Degrees above ``n_max`` are refused; raise the guard explicitly if a
-    caller really wants them.
-    """
-    if n < 0 or n > n_max:
-        raise ValueError(f"degree must be in 0..{n_max}, got {n}")
-    return _martingale_table(n)
-
-
-def martingale_polynomial(n: int, t: float, x: float, *,
-                          n_max: int = MAX_MARTINGALE_DEGREE) -> float:
+def martingale_polynomial(n: int, t: float, x: float) -> float:
     """m_n(t, x); monic in x, m_n(0, x) = x^n, martingale along the walk."""
-    table = martingale_coefficients(n, n_max=n_max)
     total = 0.0
-    for row in reversed(table):  # Horner in x
+    for row in reversed(martingale_coefficients(n)):  # Horner in x
         cj = 0.0
         for c in reversed(row):  # Horner in t
             cj = cj * t + float(c)
         total = total * x + cj
-    return total
-
-
-def vandermonde(xs: Sequence[float]) -> float:
-    """prod_{j<k} (x_k - x_j); zero iff two entries coincide."""
-    x = [float(v) for v in xs]
-    total = 1.0
-    for j in range(len(x)):
-        for k in range(j + 1, len(x)):
-            total *= x[k] - x[j]
-    return total
-
-
-def lagrange_basis(config: FiniteConfiguration, k: int, z: float) -> float:
-    """prod_{j != k} (z - u_j) / (u_k - u_j); equals delta_{jk} at z = u_j."""
-    u = config.sites
-    if not 0 <= k < len(u):
-        raise IndexError(f"site index {k} out of range for N={len(u)}")
-    total = 1.0
-    for j, uj in enumerate(u):
-        if j != k:
-            total *= (z - uj) / (u[k] - uj)
     return total
 
 
@@ -221,7 +197,8 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
     around y.  Entry [i, k] of the second array is the sum of the absolute
     terms of that series; machine epsilon times it estimates the rounding
     error of entry [i, k] (kernels refuse values whose weighted estimate is
-    too large).  At t = 0 the row is the Kronecker row Phi^{u_k}(y).
+    too large).  At t = 0 the row is the Lagrange basis Phi^{u_k}(y) itself,
+    the Kronecker row at a site.
 
     The ys are worked through in blocks of max(1, 2^16 // N^2), so the work
     arrays stay below 2^16 floats (for N <= 256) however many ys there are;

@@ -26,8 +26,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .correlations import (CorrelationEntry, CorrelationTable,
-                           MultiTimePointSet)
+from .correlations import MultiTimePointSet
 from .martingales import FiniteConfiguration, site_martingale_rows
 
 BLOCK_SIZE = 2048
@@ -54,8 +53,8 @@ class WalkBlock:
     def sample(cls, config: FiniteConfiguration, horizon: float, n: int,
                rng: np.random.Generator) -> "WalkBlock":
         """Unit-rate Poisson jump counts, uniform jump times, i.i.d. steps."""
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        if not 0 <= horizon < math.inf:
+            raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
         n_walks = len(config)
         counts = rng.poisson(horizon, size=(n, n_walks))
         owner = np.repeat(np.arange(n * n_walks), counts.ravel())
@@ -285,18 +284,3 @@ def absorbed_weight_mean(config: FiniteConfiguration, T: float,
                                                config.sites), 0.0))
     return moments.result(n_samples, float(n_samples))
 
-
-def empirical_correlation(config: FiniteConfiguration,
-                          point_sets: Sequence[MultiTimePointSet] | MultiTimePointSet,
-                          estimator: str, n_samples: int, seed: int, *,
-                          T: float | None = None) -> CorrelationTable:
-    """Correlation estimates (occupation products) with standard errors."""
-    if isinstance(point_sets, MultiTimePointSet):
-        point_sets = [point_sets]
-    if T is None:
-        T = max(p.max_time for p in point_sets)
-    functionals = [OccupationProduct(p) for p in point_sets]
-    results = estimate_many(config, functionals, T, n_samples, seed, estimator)
-    entries = tuple(CorrelationEntry(p, r.mean, r.std_error)
-                    for p, r in zip(point_sets, results))
-    return CorrelationTable(entries)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+_GAUSS_MAX_NODES = 2048
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -53,19 +54,19 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
-def periodic_mean(f, *, n_start: int = 16, tol: float = 1e-13,
-                  max_nodes: int = 1 << 18) -> float:
+def periodic_mean(f, *, n_start: int = 16, tol: float = 1e-13) -> float:
     """Mean value (1/2pi) * integral over [-pi, pi) of a 2pi-periodic f.
 
     ``f`` must accept an ndarray of nodes.  Node count doubles until two
-    successive levels agree to ``tol`` (absolute, relative to max(1, |I|)).
+    successive levels agree to ``tol`` (absolute, relative to max(1, |I|)),
+    up to 2^18 nodes.
     """
     if n_start < 4:
         raise ValueError(f"node count must be >= 4, got {n_start}")
     n = int(n_start)
     nodes = -np.pi + 2.0 * np.pi * np.arange(n) / n
     prev = float(np.mean(f(nodes)))
-    while 2 * n <= max_nodes:
+    while 2 * n <= 1 << 18:
         n *= 2
         nodes = -np.pi + 2.0 * np.pi * np.arange(n) / n
         cur = float(np.mean(f(nodes)))
@@ -73,20 +74,20 @@ def periodic_mean(f, *, n_start: int = 16, tol: float = 1e-13,
             return cur
         prev = cur
     raise ConvergenceError("periodic_mean",
-                           f"no convergence to {tol:g} within {max_nodes} nodes")
+                           f"no convergence to {tol:g} within 2^18 nodes")
 
 
-def gauss_legendre(f, a: float, b: float, *, n_start: int = 32,
-                   tol: float = 1e-13, max_nodes: int = 2048):
+def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     """Integral of ``f`` over [a, b] by Gauss-Legendre with node doubling.
 
     ``f`` maps an ndarray of nodes to values (scalar or vector per node);
     convergence is judged in the max norm relative to max(1, ||I||_inf).
     Returns a float for scalar integrands, an ndarray otherwise.
 
-    Tolerances are floored just above the doubling noise floor, and the
-    node count is capped: Gauss node generation is quadratic in n, so an
-    integrand that fails at 2048 nodes needs splitting, not refinement.
+    Refinement runs from 32 to at most 2048 nodes.  Tolerances are floored
+    just above the doubling noise floor, and the node count is capped:
+    Gauss node generation is quadratic in n, so an integrand that fails at
+    2048 nodes needs splitting, not refinement.
     """
     tol = max(tol, 5e-15)
     if b <= a:
@@ -102,9 +103,9 @@ def gauss_legendre(f, a: float, b: float, *, n_start: int = 32,
         vals = np.asarray(f(mid + half * x))
         return half * np.tensordot(w, vals, axes=(0, 0))
 
-    n = int(n_start)
+    n = 32
     prev = level(n)
-    while 2 * n <= max_nodes:
+    while 2 * n <= _GAUSS_MAX_NODES:
         n *= 2
         cur = level(n)
         err = np.max(np.abs(cur - prev))
@@ -112,5 +113,5 @@ def gauss_legendre(f, a: float, b: float, *, n_start: int = 32,
         if err <= tol * scale:
             return cur if np.ndim(cur) else np.asarray(cur).item()
         prev = cur
-    raise ConvergenceError("gauss_legendre",
-                           f"no convergence to {tol:g} within {max_nodes} nodes")
+    raise ConvergenceError("gauss_legendre", f"no convergence to {tol:g} "
+                           f"within {_GAUSS_MAX_NODES} nodes")

@@ -22,20 +22,19 @@ from .kernels import (KernelSpec, LatticeSpec, StationarySpec,
 from .quadrature import _leggauss
 
 
-def remainder_damping_max(lattice: LatticeSpec, s_scale: float = 1.0, *,
-                          n_nodes: int = 256) -> float:
+def remainder_damping_max(lattice: LatticeSpec) -> float:
     """Largest damping factor exp(cos(theta/a) - cos(lam/a)) on the shifts.
 
-    Sampled on the Gauss-Legendre nodes the remainder quadrature uses;
-    strictly below 1 on every branch, which is what forces the remainder
-    to die out under time shifts.
+    Sampled on 256 Gauss-Legendre nodes over lam in [-pi, pi]; strictly
+    below 1 on every branch, which is what forces the remainder to die out
+    under time shifts.
     """
     a = lattice.a
     worst = 0.0
-    lam = math.pi * _leggauss(n_nodes)[0]
+    lam = math.pi * _leggauss(256)[0]
     for m, _ in remainder_branches(lattice):
         theta = 2.0 * math.pi * m - lam
-        damp = np.exp(s_scale * (np.cos(theta / a) - np.cos(lam / a)))
+        damp = np.exp(np.cos(theta / a) - np.cos(lam / a))
         worst = max(worst, float(damp.max()))
     return worst
 
@@ -47,7 +46,6 @@ class RelaxationReport:
     lattice: LatticeSpec
     displacements: tuple[tuple[float, int], ...]  # (dt, dx)
     tau_grid: tuple[float, ...]
-    base_site: int
     lattice_values: np.ndarray    # shape (len(tau_grid), len(displacements))
     stationary_values: np.ndarray  # shape (len(displacements),)
     gaps: np.ndarray              # shape like lattice_values
@@ -64,12 +62,12 @@ class RelaxationReport:
 
 def relaxation_sweep(lattice: LatticeSpec,
                      displacements: Sequence[tuple[float, int]],
-                     tau_grid: Sequence[float], *, base_site: int = 0,
+                     tau_grid: Sequence[float], *,
                      tol: float = 1e-13) -> RelaxationReport:
     """Evaluate the gap matrix over (tau, displacement) cells.
 
-    Each displacement (dt, dx) compares K(tau + base, x0; tau + base + dt,
-    x0 + dx) with the stationary value, both in the probability gauge.
+    Each displacement (dt, dx) compares K(tau, 0; tau + dt, dx) with the
+    stationary value, both in the probability gauge.
     Every lattice cell of the sweep is one entry of a single kernel batch.
     """
     taus = tuple(float(v) for v in tau_grid)
@@ -79,8 +77,8 @@ def relaxation_sweep(lattice: LatticeSpec,
         raise ValueError("tau grid must be >= 0")
     disp = tuple((float(dt), int(dx)) for dt, dx in displacements)
     # dt < 0 puts the first point later: s = tau - dt, t = tau
-    starts = [(max(-dt, 0.0), base_site) for dt, _ in disp]
-    ends = [(max(dt, 0.0), base_site + dx) for dt, dx in disp]
+    starts = [(max(-dt, 0.0), 0) for dt, _ in disp]
+    ends = [(max(dt, 0.0), dx) for dt, dx in disp]
     stationary = KernelSpec(StationarySpec(lattice.density)).values(
         starts, ends, tol=tol)
     lattice_vals = KernelSpec(lattice).values(
@@ -88,5 +86,5 @@ def relaxation_sweep(lattice: LatticeSpec,
         [(tau + t, y) for tau in taus for t, y in ends],
         tol=tol).reshape(len(taus), len(disp))
     gaps = np.abs(lattice_vals - stationary[None, :])
-    return RelaxationReport(lattice, disp, taus, base_site,
-                            lattice_vals, stationary, gaps)
+    return RelaxationReport(lattice, disp, taus, lattice_vals, stationary,
+                            gaps)

@@ -10,9 +10,10 @@ over initial sites, Karlin-McGregor determinants of scipy's
 exit probabilities, and per-sample walk paths with a jump-by-jump
 exit-time loop as the reference for the block sampler.
 It also holds small functions the package does not export, kept as
-references for the tests: signed Bessel values, the characteristic
-function, Esscher weights, the sinc basis, gauge transforms and the
-relaxation gap of a single cell.
+references for the tests: single transition probabilities, the scalar
+Lagrange basis, signed Bessel values, the characteristic function,
+Esscher weights, the sinc basis, gauge transforms and the relaxation gap
+of a single cell.
 """
 
 from __future__ import annotations
@@ -22,12 +23,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncrw.bessel import scaled_bessel_i, scaled_bessel_i_all, truncation_radius
+from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.kernels import KernelSpec, StationarySpec
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
-                              _series_weights, lagrange_basis)
+                              _series_weights)
 from ncrw.quadrature import gauss_legendre
+
+
+def itilde(n: int, t: float) -> float:
+    """exp(-t) I_n(t) = p(t, x + n|x), one entry of the package's table."""
+    return float(scaled_bessel_i_all(n, t)[n])
+
+
+def lagrange_basis(config: FiniteConfiguration, k: int, z: float) -> float:
+    """prod_{j != k} (z - u_j) / (u_k - u_j); equals delta_{jk} at z = u_j.
+
+    The scalar reference for the rows ``site_martingale_rows(config, 0, zs)``.
+    """
+    u = config.sites
+    if not 0 <= k < len(u):
+        raise IndexError(f"site index {k} out of range for N={len(u)}")
+    total = 1.0
+    for j, uj in enumerate(u):
+        if j != k:
+            total *= (z - uj) / (u[k] - uj)
+    return total
 
 
 def bessel_series(n: int, z: float) -> float:
@@ -60,7 +81,7 @@ def signed_bessel_i(n: int, z: float) -> float:
     """I_n(z) for any real z, via the parity I_n(-t) = (-1)^n I_n(t)."""
     if not math.isfinite(z):
         raise ValueError(f"argument must be finite, got {z}")
-    mag = math.exp(abs(z)) * scaled_bessel_i(n, abs(z))
+    mag = math.exp(abs(z)) * itilde(n, abs(z))
     if z < 0 and n % 2 == 1:
         return -mag
     return mag
@@ -232,7 +253,7 @@ def lattice_kernel_site_sum(lattice: LatticeSpec, s: float, x: int, t: float,
                                         tol=tol)
         value = math.fsum((weights * mhat).tolist())
     if s > t:
-        value -= scaled_bessel_i(abs(x - y), s - t)
+        value -= itilde(abs(x - y), s - t)
     return value
 
 

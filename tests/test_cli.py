@@ -23,6 +23,16 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def usage_error(argv, capsys):
+    """Exit code and stderr of a call that argparse or main refuses."""
+    try:
+        code, out = run_cli(argv)
+    except SystemExit as exc:
+        code, out = exc.code, ""
+    assert out == ""
+    return code, capsys.readouterr().err
+
+
 def validate(doc, schema_name):
     schema = json.loads((SCHEMA_DIR / schema_name).read_text())
     jsonschema.validate(doc, schema)
@@ -61,6 +71,36 @@ class TestKernelCommand:
         code, _ = run_cli(["kernel", "--spec", "finite:0,2",
                            "--point", "-0.5,0", "--point", "0.5,1"])
         assert code == 2
+
+    def test_grid_refuses_json(self, capsys):
+        code, err = usage_error(["kernel", "--spec", "finite:0,2", "--grid",
+                                 "0.5,-1:1,0.5,-1:1", "--output", "json"],
+                                capsys)
+        assert code == 2 and "CSV only" in err
+
+    def test_grid_refuses_points(self, capsys):
+        code, err = usage_error(["kernel", "--spec", "finite:0,2", "--grid",
+                                 "0.5,-1:1,0.5,-1:1", "--point", "0.5,0"],
+                                capsys)
+        assert code == 2 and "not allowed with" in err
+
+    def test_lag_refuses_points_and_finite_spec(self, capsys):
+        code, err = usage_error(["kernel", "--spec", "finite:0,2",
+                                 "--dt", "3", "--dx", "4", "--point", "0.5,0",
+                                 "--point", "0.5,1"], capsys)
+        assert code == 2 and "not allowed with" in err
+        code, err = usage_error(["kernel", "--spec", "finite:0,2",
+                                 "--dt", "3", "--dx", "4"], capsys)
+        assert code == 2 and "stationary spec" in err
+
+    def test_displacement_needs_lag(self, capsys):
+        code, err = usage_error(["kernel", "--spec", "stationary:0.5",
+                                 "--dx", "1"], capsys)
+        assert code == 2 and "--dt and --dx" in err
+        code, err = usage_error(["kernel", "--spec", "stationary:0.5",
+                                 "--point", "0.5,0", "--point", "0.5,1",
+                                 "--dx", "1"], capsys)
+        assert code == 2 and "--dt and --dx" in err
 
     def test_lattice_pair_beyond_domain_exits_1(self, capsys):
         # |y - x| = 1240 on 2Z: beyond 2048 quadrature nodes
@@ -142,6 +182,15 @@ class TestSimulateCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_bad_horizon_usage_error(self, horizon, capsys):
+        code, err = usage_error(["simulate", "--config", "0,2",
+                                 "--T", horizon, "--at", "0:0",
+                                 "--estimator", "h", "--samples", "10"],
+                                capsys)
+        assert code == 2
+        assert err.startswith("ncrw: horizon must be finite and >= 0")
+
     def test_at_beyond_horizon_usage_error(self):
         code, _ = run_cli(["simulate", "--config", "0,2", "--T", "0.4",
                            "--at", "0.5:0", "--estimator", "h",
@@ -163,6 +212,11 @@ class TestRelaxationCommand:
                              "--dx-max", "1", "--output", "json"])
         assert code == 0
         validate(json.loads(out), "relaxation.json")
+
+    def test_negative_dx_max_usage_error(self, capsys):
+        code, err = usage_error(["relaxation", "--a", "2", "--tau", "2",
+                                 "--dx-max", "-1"], capsys)
+        assert code == 2 and "--dx-max" in err
 
 
 class TestGlobalBehavior:

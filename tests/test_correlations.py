@@ -32,6 +32,13 @@ class TestMultiTimePointSet:
         with pytest.raises(ValueError):
             pts((0.5, ()))
 
+    def test_rejects_non_integer_sites(self):
+        # 0.7 must not become site 0
+        for bad in (0.7, math.nan, math.inf):
+            with pytest.raises(ValueError, match="integers"):
+                pts((0.5, (bad, 2)))
+        assert pts((0.5, (0.0, 2))).flatten() == [(0.5, 0), (0.5, 2)]
+
 
 class TestCorrelationFunction:
     def test_initial_configuration_density(self):
@@ -162,6 +169,13 @@ class TestFredholm:
             ((0.5, tuple((x, 0.1) for x in range(15))),))
         with pytest.raises(ValueError):
             fredholm_generating_function(SPEC, big)
+
+    def test_rejects_non_integer_support(self):
+        # 0.5 must not become site 0
+        for bad in (0.5, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="integers"):
+                ChiSet(((0.5, ((bad, 0.1), (2, 0.2))),))
+        assert ChiSet(((0.5, ((2.0, 0.1),)),)).groups == ((0.5, ((2, 0.1),)),)
 
     def test_from_chi_roundtrip(self):
         tf = ChiSet.from_chi(((0.5, ((0, -1.0), (1, 0.5))),))

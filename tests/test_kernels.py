@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrw import kernels
-from ncrw.bessel import scaled_bessel_i, truncation_radius
+from ncrw.bessel import truncation_radius
 from ncrw.correlations import (MultiTimePointSet, correlation_function,
                                density_profile, kernel_matrix)
 from ncrw.errors import ConvergenceError
 from ncrw.kernels import (GAUGES, KernelSpec, StationarySpec,
                           lattice_kernel_g, lattice_kernel_remainder,
                           sine_kernel)
-from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
-                              lagrange_basis)
+from ncrw.martingales import FiniteConfiguration, LatticeSpec
 from ncrw.quadrature import gauss_legendre
 from ncrw.relaxation import relaxation_sweep
-from oracles import (gauge_transform, karlin_mcgregor, kernel_finite_mpmath,
+from oracles import (gauge_transform, itilde, karlin_mcgregor,
+                     kernel_finite_mpmath, lagrange_basis,
                      lattice_kernel_site_sum)
 
 WIDE = FiniteConfiguration.equidistant(2, 20)  # 2Z in [-20, 20], N = 21
@@ -47,8 +47,8 @@ def split_form_oracle(config, p, q, eps_tail=1e-16):
     t, y = q
     sites = config.sites
     total = math.fsum(
-        scaled_bessel_i(abs(x - uj), s) * (-1) ** abs(y - uj)
-        * scaled_bessel_i(abs(y - uj), t)
+        itilde(abs(x - uj), s) * (-1) ** abs(y - uj)
+        * itilde(abs(y - uj), t)
         for uj in sites) * math.exp(s + t)
     radius = truncation_radius(t, eps_tail) + 5 * len(sites) + 10
     terms = []
@@ -56,12 +56,12 @@ def split_form_oracle(config, p, q, eps_tail=1e-16):
         if w in sites:
             continue
         for j, uj in enumerate(sites):
-            terms.append(scaled_bessel_i(abs(x - uj), s)
-                         * (-1) ** abs(y - w) * scaled_bessel_i(abs(y - w), t)
+            terms.append(itilde(abs(x - uj), s)
+                         * (-1) ** abs(y - w) * itilde(abs(y - w), t)
                          * lagrange_basis(config, j, float(w)))
     total += math.exp(s + t) * math.fsum(terms)
     if s > t:
-        total -= math.exp(s - t) * scaled_bessel_i(abs(x - y), s - t)
+        total -= math.exp(s - t) * itilde(abs(x - y), s - t)
     return total
 
 
@@ -107,7 +107,7 @@ class TestKernelFinite:
                     m_val = sum(
                         float(cf) * martingale_polynomial(n, t, float(y))
                         for n, cf in enumerate(coeffs)) / scale
-                    oracle += scaled_bessel_i(abs(x - uj), s) * m_val
+                    oracle += itilde(abs(x - uj), s) * m_val
                 got = kernel_value(c, (s, x), (t, y))
                 assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
@@ -536,7 +536,7 @@ class TestLatticeSpectralParts:
             g = lattice_kernel_g(lat, dt, dx)
             want = stationary_value(0.5, dt, dx, "prob")
             if dt < 0:
-                want += scaled_bessel_i(abs(dx), -dt)
+                want += itilde(abs(dx), -dt)
             assert g == pytest.approx(want, abs=1e-12)
 
     def test_remainder_vanishes_with_time_shift(self):

@@ -8,12 +8,14 @@ import pytest
 from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
-                              LatticeSpec, _series_weights, lagrange_basis,
+                              LatticeSpec, _series_weights,
                               martingale_coefficients, martingale_polynomial,
-                              site_martingale_rows, vandermonde)
+                              site_martingale_rows)
+from ncrw.montecarlo import vandermonde_ratio
 from oracles import (backward_transform, backward_transform_exp,
-                     esscher_weight, lattice_basis, lattice_martingale_batch,
-                     ring_site_martingale_row, site_martingale_row_loop)
+                     esscher_weight, lagrange_basis, lattice_basis,
+                     lattice_martingale_batch, ring_site_martingale_row,
+                     site_martingale_row_loop)
 
 
 def transition_weights(t, center, radius):
@@ -35,6 +37,13 @@ class TestConfigurationTypes:
             FiniteConfiguration((0, 0, 5))
         with pytest.raises(ValueError):
             FiniteConfiguration(())
+
+    def test_rejects_non_integer_sites(self):
+        # 0.5 must not become site 0
+        for bad in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="integers"):
+                FiniteConfiguration((bad, 2))
+        assert FiniteConfiguration((-1.0, np.int64(2))).sites == (-1, 2)
 
     def test_lattice_spec(self):
         assert LatticeSpec(2).density == 0.5
@@ -97,10 +106,9 @@ class TestMartingalePolynomials:
         assert martingale_polynomial(5, 0.0, 1.5) == 1.5 ** 5
 
     def test_degree_guard(self):
+        assert martingale_polynomial(13, 0.0, 2.0) == 2.0 ** 13
         with pytest.raises(ValueError):
-            martingale_polynomial(13, 1.0, 0.0)
-        # explicit opt-in past the default guard
-        assert martingale_polynomial(13, 0.0, 2.0, n_max=14) == 2.0 ** 13
+            martingale_polynomial(-1, 1.0, 0.0)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_semigroup_inverts_polynomials(self, t):
@@ -121,7 +129,7 @@ class TestMartingalePolynomials:
                 partial = math.fsum(
                     martingale_polynomial(n, t, float(x)) * alpha ** n
                     / math.factorial(n) for n in range(13))
-                tail = [abs(martingale_polynomial(n, t, float(x), n_max=15)
+                tail = [abs(martingale_polynomial(n, t, float(x))
                             * alpha ** n) / math.factorial(n)
                         for n in (13, 14, 15)]
                 assert tail[2] <= max(tail[0], 1e-15)  # decaying regime
@@ -163,6 +171,8 @@ class TestBackwardTransform:
 
 
 class TestLagrangeBasis:
+    """The scalar oracle, and the t = 0 rows that replace it in the package."""
+
     def test_kronecker(self):
         c = FiniteConfiguration((0, 2))
         assert lagrange_basis(c, 0, 0.0) == 1.0
@@ -174,20 +184,42 @@ class TestLagrangeBasis:
             lagrange_basis(FiniteConfiguration((0, 2)), 2, 1.0)
 
 
+    def test_rows_at_time_zero_match_oracle_bitwise(self):
+        # off the sites too, where the rows are not Kronecker rows
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 10))
+            sites = tuple(sorted(int(v) for v in
+                                 rng.choice(np.arange(-20, 21), n,
+                                            replace=False)))
+            c = FiniteConfiguration(sites)
+            zs = [z for z in range(-25, 26) if z not in sites]
+            rows = site_martingale_rows(c, 0.0, zs)[0]
+            want = [[lagrange_basis(c, k, float(z)) for k in range(n)]
+                    for z in zs]
+            assert rows.tolist() == want
+
+
 class TestVandermonde:
+    """``vandermonde_ratio`` h(v)/h(u) against determinants of np.vander."""
+
     def test_small(self):
-        assert vandermonde((0, 1, 2)) == 2.0
-        assert vandermonde((0, 0, 5)) == 0.0
-        assert vandermonde((7,)) == 1.0
+        assert vandermonde_ratio((0, 1, 2), (0, 1, 3)) == 2.0 / 6.0
+        assert vandermonde_ratio((0, 0, 5), (0, 1, 3)) == 0.0
+        assert vandermonde_ratio((7,), (3,)) == 1.0
+        assert vandermonde_ratio([[0, 2], [2, 0]], (0, 1)).tolist() == [2.0,
+                                                                         -2.0]
 
     def test_against_determinant(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(2, 7))
-            x = rng.normal(size=n) * 3.0
-            mono = np.vander(x, increasing=True)
-            det = float(np.linalg.det(mono))
-            assert vandermonde(x) == pytest.approx(det, rel=1e-9, abs=1e-12)
+            v = rng.normal(size=n) * 3.0
+            u = rng.normal(size=n) * 3.0
+            det = (np.linalg.det(np.vander(v, increasing=True))
+                   / np.linalg.det(np.vander(u, increasing=True)))
+            assert vandermonde_ratio(v, u) == pytest.approx(det, rel=1e-9,
+                                                            abs=1e-12)
 
 
 def site_martingale(config, k, t, y):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ncrw import montecarlo
-from ncrw.bessel import transition_probability
+from ncrw.bessel import scaled_bessel_i_all
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
 from ncrw.martingales import FiniteConfiguration, site_martingale_rows
 from ncrw.montecarlo import (BLOCK_SIZE, OccupationProduct, One, WalkBlock,
-                             absorbed_weight_mean, empirical_correlation,
-                             estimate_many, vandermonde_ratio)
+                             absorbed_weight_mean, estimate_many,
+                             vandermonde_ratio)
 
 from oracles import (WalkPath, ensembles_of_block, exit_time,
                      sample_ensemble, site_martingale_row_loop,
@@ -67,10 +67,11 @@ class TestWalkPath:
         t, n = 1.0, 20_000
         rng = np.random.default_rng(11)
         dist = np.abs(WalkBlock.sample(ONE_WALK, t, n, rng).positions(t)[:, 0])
+        table = scaled_bessel_i_all(2, t)
         for d in (0, 1, 2):
             count = int(np.sum(dist == d))
             # both +-d for d > 0
-            p = transition_probability(t, 0, d) * (1 if d == 0 else 2)
+            p = table[d] * (1 if d == 0 else 2)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(count / n - p) <= 3.5 * se
 
@@ -216,6 +217,9 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_many(XI, [OccupationProduct(pts((2.0, (0,))))],
                           1.0, 10, 1)
+        for horizon in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="horizon"):
+                estimate_many(XI, [One()], horizon, 10, 1)
 
 
 class TestDeterminantWeight:
@@ -266,17 +270,16 @@ class TestReproducibility:
 class TestEmpiricalCorrelation:
     def test_initial_configuration_exact_for_h(self):
         p = pts((0.0, (0, 2)))
-        table = empirical_correlation(XI, p, "h", 500, 2)
-        entry = table.entries[0]
-        assert entry.value == 1.0
-        assert entry.std_error == 0.0
+        got = estimate_many(XI, [OccupationProduct(p)], 0.0, 500, 2, "h")[0]
+        assert got.mean == 1.0
+        assert got.std_error == 0.0
 
     def test_pair_correlation_vs_determinant(self):
         p = pts((0.5, (0, 1)))
         analytic = correlation_function(KernelSpec(XI), p)
-        table = empirical_correlation(XI, p, "dmr", 30_000, 21, T=1.0)
-        entry = table.entries[0]
-        assert abs(entry.value - analytic) <= 3.0 * entry.std_error
+        got = estimate_many(XI, [OccupationProduct(p)], 1.0, 30_000, 21,
+                            "dmr")[0]
+        assert abs(got.mean - analytic) <= 3.0 * got.std_error
 
     def test_vandermonde_ratio(self):
         assert vandermonde_ratio((0, 1, 3), (0, 1, 3)) == 1.0

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ncrw.bessel import (scaled_bessel_i, transition_probability_quadrature)
+from ncrw.bessel import transition_probability_quadrature
 from ncrw.kernels import (KernelSpec, StationarySpec, lattice_kernel_g,
                           lattice_kernel_remainder, sine_kernel)
 from ncrw.martingales import LatticeSpec
 from ncrw.quadrature import gauss_legendre
 from ncrw.relaxation import (RelaxationReport, relaxation_sweep,
                              remainder_damping_max)
-from oracles import lattice_kernel_site_sum, relaxation_gap
+from oracles import itilde, lattice_kernel_site_sum, relaxation_gap
 
 LAT2 = LatticeSpec(2)
 
@@ -26,7 +26,7 @@ class TestDecomposition:
     def test_site_sum_equals_principal_plus_remainder(self, s, x, t, y):
         # the defining site sum against the analytically folded form
         kl = lattice_kernel_site_sum(LAT2, s, x, t, y)
-        indicator = scaled_bessel_i(abs(x - y), s - t) if s > t else 0.0
+        indicator = itilde(abs(x - y), s - t) if s > t else 0.0
         got = kl + indicator
         want = lattice_kernel_g(LAT2, t - s, y - x) + \
             lattice_kernel_remainder(LAT2, s, x, t, y)
