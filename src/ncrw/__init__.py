@@ -17,8 +17,8 @@ from .correlations import (MultiTimePointSet, TestFunctionSet,
                            density_profile, fredholm_generating_function,
                            kernel_matrix)
 from .errors import ConvergenceError
-from .kernels import (KernelSpec, StationarySpec, lattice_kernel_g,
-                      lattice_kernel_remainder, sine_kernel)
+from .kernels import (KernelSpec, StationarySpec, lattice_kernel_remainder,
+                      sine_kernel)
 from .martingales import (FiniteConfiguration, LatticeSpec,
                           martingale_coefficients, martingale_polynomial,
                           site_martingale_rows)
@@ -37,8 +37,8 @@ __all__ = [
     "kernel_matrix",
     "scaled_bessel_i_all", "transition_probability_poisson",
     "transition_probability_quadrature", "truncation_radius",
-    "KernelSpec", "StationarySpec", "lattice_kernel_g",
-    "lattice_kernel_remainder", "sine_kernel",
+    "KernelSpec", "StationarySpec", "lattice_kernel_remainder",
+    "sine_kernel",
     "FiniteConfiguration", "LatticeSpec", "martingale_coefficients",
     "martingale_polynomial", "site_martingale_rows",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",

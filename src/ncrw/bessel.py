@@ -12,9 +12,10 @@ one table: ``scaled_bessel_i_all(n, t)[n]`` with n = |y - x|.  Two
 independent evaluation routes (Fourier quadrature and Poissonization of
 the discrete walk) are provided as oracles for it.
 
-Evaluation strategy: power series for small ``t``, Miller backward
-recurrence normalized with ``itilde_0 + 2*sum_k itilde_k = 1`` for large
-``t``.  Both routes avoid the unscaled ``I_n`` entirely.
+Evaluation strategy: one backward recurrence for the ratios
+I_k / I_{k-1}, which lie in [0, 1), normalized with
+``itilde_0 + 2*sum_k itilde_k = 1``, for every ``t``.  It never forms the
+unscaled ``I_n``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ import numpy as np
 from .errors import ConvergenceError
 from .quadrature import periodic_mean
 
-# Crossover between the series and the backward recurrence.  Below this the
-# series needs O(t) terms and its first term exp(-t) is far from underflow.
-_SERIES_T_MAX = 50.0
-_RESCALE = 1e250
-
 
 def _check_order_time(n: int, t: float) -> None:
     if n != int(n) or n < 0:
@@ -42,51 +38,24 @@ def _check_order_time(n: int, t: float) -> None:
         raise ValueError(f"time argument must be >= 0, got {t}")
 
 
-def _miller_all(n_max: int, t: float) -> np.ndarray:
-    # Backward recurrence I_{k-1} = I_{k+1} + (2k/t) I_k from a start index
-    # high enough that the wanted orders are fully converged, then normalize
-    # with I_0 + 2 sum_{k>=1} I_k = e^t  (i.e. itilde sums to 1).
-    top = max(n_max, int(math.ceil(t)))
-    start = top + 10 + int(2.0 * math.sqrt(40.0 * (top + 1)))
-    f = np.zeros(start + 1)
-    fp = 0.0  # f_{k+1}
-    fc = 1.0  # f_k
-    f[start] = fc
-    for k in range(start, 0, -1):
-        fm = fp + (2.0 * k / t) * fc
-        fp, fc = fc, fm
-        f[k - 1] = fm
-        if fm > _RESCALE:
-            f[k - 1:] /= _RESCALE
-            fp /= _RESCALE
-            fc /= _RESCALE
-    norm = f[0] + 2.0 * f[1:].sum()
-    return f[:n_max + 1] / norm
-
-
 @lru_cache(maxsize=512)
 def _scaled_all_cached(n_max: int, t: float) -> np.ndarray:
-    if t < _SERIES_T_MAX:
-        out = np.empty(n_max + 1)
-        half = 0.5 * t
-        h2 = half * half
-        pref = math.exp(-t)
-        for n in range(n_max + 1):
-            if n > 0:
-                pref *= half / n
-            if pref == 0.0:
-                out[n:] = 0.0
-                break
-            term = pref
-            total = term
-            for l in range(1, 1000):
-                term *= h2 / (l * (n + l))
-                total += term
-                if term <= total * 1e-18:
-                    break
-            out[n] = total
-    else:
-        out = _miller_all(n_max, t)
+    # The ratios r_k = I_k / I_{k-1} by the backward recurrence
+    # r_k = t / (2k + t*r_{k+1}), started at 0 from an index high enough that
+    # the wanted orders are fully converged.  They lie in [0, 1), so their
+    # products itilde_k / itilde_0 never overflow, and the normalisation
+    # itilde_0 + 2*sum_k itilde_k = 1 fixes itilde_0.
+    top = max(n_max, int(math.ceil(t)))
+    start = top + 10 + int(2.0 * math.sqrt(40.0 * (top + 1)))
+    ratios = []
+    r = 0.0
+    for k in range(start, 0, -1):
+        r = t / (2.0 * k + t * r)
+        ratios.append(r)
+    products = np.cumprod(ratios[::-1])
+    out = np.empty(n_max + 1)
+    out[0] = 1.0 / (1.0 + 2.0 * products.sum())
+    out[1:] = out[0] * products[:n_max]
     out.setflags(write=False)
     return out
 

@@ -25,9 +25,10 @@ The lattice kernel is evaluated in its spectrally folded form: collapsing
 the defining sum over initial sites against the momentum integrals (a
 Poisson-summation identity) leaves one momentum integral per comb shift m.
 Shift m = 0 is the principal band term, the stationary kernel at density
-1/a; the shifts m >= 1 are the aliasing remainder, the whole relaxation
-gap.  Each distinct (s, t, y - x, x mod a) key of a batch is one column of
-a blocked Gauss-Legendre quadrature over every shift at once.
+1/a, and is evaluated as that kernel (backward term included); the shifts
+m >= 1 are the aliasing remainder, the whole relaxation gap.  Each
+distinct (s, t, y - x, x mod a) key of a batch is one column of a blocked
+Gauss-Legendre quadrature over every remainder shift at once.
 """
 
 from __future__ import annotations
@@ -104,18 +105,22 @@ def _bessel_rows(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 def _finite_sums(config: FiniteConfiguration, s, x, t, y
                  ) -> tuple[np.ndarray, np.ndarray]:
-    # sum_j p(s, x|u_j) M_j(t, y) per entry, with an estimate of its
-    # rounding error: one Bessel table per distinct s and one site-martingale
-    # row per distinct (t, y).  spread[k] is the sum of absolute series terms
-    # of M_k, so eps * sum_k p(s, x|u_k) spread_k estimates the rounding
-    # error of each entry (the "bound" B the guard judges).
+    # sum_j p(s, x|u_j) M_j(t, y) - 1(s>t) p(s-t, x|y) per entry, with an
+    # estimate of its rounding error: one Bessel table per distinct s and one
+    # site-martingale row per distinct (t, y).  spread[k] is the sum of
+    # absolute series terms of M_k, so eps * sum_k p(s, x|u_k) spread_k
+    # estimates the rounding error of each entry (the "bound" B the guard
+    # judges).
     weights = _bessel_rows(s, np.abs(x[:, None] - np.asarray(config.sites)))
     rows = np.empty(weights.shape)
     spreads = np.empty(weights.shape)
     for (tv, yv), idx in _groups(t, y):
         rows[idx], spreads[idx] = site_martingale_rows(config, tv, [yv])
-    return (np.einsum("ij,ij->i", weights, rows),
-            _EPS * np.einsum("ij,ij->i", weights, spreads))
+    out = np.einsum("ij,ij->i", weights, rows)
+    back = s > t
+    if back.any():
+        out[back] -= _bessel_rows(s[back] - t[back], np.abs(x[back] - y[back]))
+    return out, _EPS * np.einsum("ij,ij->i", weights, spreads)
 
 
 def _balance(a: np.ndarray) -> np.ndarray:
@@ -194,20 +199,22 @@ def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return [c[new] for c in cols], inverse
 
 
-def _lattice_sums(lattice: LatticeSpec, s, x, t, y, shifts, tol: float
-                  ) -> np.ndarray:
-    # The folded lattice kernel without the backward term, restricted to the
-    # comb shifts (m, w): per entry the sum over them of
+def _lattice_sums(lattice: LatticeSpec, s, x, t, y, tol: float) -> np.ndarray:
+    # The aliasing remainder of the folded lattice kernel: per entry the sum
+    # over the remainder_branches (m, w) of
     #
     #   (w/2*pi*a) int_{-pi}^{pi} cos(2*pi*m*x/a + lam*(y - x)/a)
     #       * exp(t - s - t*cos(lam/a) + s*cos((2*pi*m - lam)/a)) dlam,
     #
-    # which depends on (x, y) through (y - x, x mod a) only.  Every distinct
-    # (s, t, y - x, x mod a) key of the batch is one column of a vector
-    # quadrature, in blocks of _LATTICE_BLOCK_FLOATS key-shift pairs, which
-    # bound the node tables of a wide batch; keys are ordered by y - x, so
-    # a block holds keys of like oscillation.
+    # which depends on (x, y) through (y - x, x mod a) only.  (Shift m = 0,
+    # the principal band, is the stationary kernel at density 1/a and comes
+    # from _stationary_bands.)  Every distinct (s, t, y - x, x mod a) key of
+    # the batch is one column of a vector quadrature, in blocks of
+    # _LATTICE_BLOCK_FLOATS key-shift pairs, which bound the node tables of
+    # a wide batch; keys are ordered by y - x, so a block holds keys of like
+    # oscillation.
     a = lattice.a
+    shifts = remainder_branches(lattice)
     (r, sk, tk, d), inverse = _distinct(x % a, s, t, y - x)
     m = np.array([v for v, _ in shifts], dtype=float)
     w = np.array([v for _, v in shifts]) / (2.0 * math.pi * a)
@@ -235,29 +242,6 @@ def _lattice_sums(lattice: LatticeSpec, s, x, t, y, shifts, tol: float
     return out[inverse]
 
 
-def _shift_selection(lattice: LatticeSpec, s, x, t, y, shifts, tol: float):
-    # _lattice_sums over broadcast arguments, shaped like them (a float when
-    # all are scalars)
-    s, x, t, y = np.broadcast_arrays(s, x, t, y)
-    got = _lattice_sums(lattice, s.ravel().astype(float),
-                        x.ravel().astype(np.int64), t.ravel().astype(float),
-                        y.ravel().astype(np.int64), shifts, tol)
-    return got.reshape(s.shape) if s.ndim else float(got[0])
-
-
-def lattice_kernel_g(lattice: LatticeSpec, dt: float, dx, *,
-                     tol: float = 1e-13):
-    """Principal band term (shift m = 0) of the folded lattice kernel:
-
-    (1/2*pi*a) int_{-pi}^{pi} exp(i*lam*dx/a + dt*(1 - cos(lam/a))) dlam.
-
-    Depends only on the displacement (dt, dx); at dt = 0 it equals the
-    sine kernel at density 1/a.  ``dx`` may be an integer array: its
-    entries share the blocked quadrature of ``KernelSpec.values``.
-    """
-    return _shift_selection(lattice, 0.0, 0, dt, dx, [(0, 1.0)], tol)
-
-
 def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x, t: float, y,
                              *, tol: float = 1e-13):
     """Aliasing remainder (shifts m >= 1) of the folded lattice kernel.
@@ -274,8 +258,11 @@ def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x, t: float, y,
     and ``y`` may be integer arrays of one shape: their entries share the
     blocked quadrature of ``KernelSpec.values``.
     """
-    return _shift_selection(lattice, s, x, t, y, remainder_branches(lattice),
-                            tol)
+    s, x, t, y = np.broadcast_arrays(s, x, t, y)
+    got = _lattice_sums(lattice, s.ravel().astype(float),
+                        x.ravel().astype(np.int64), t.ravel().astype(float),
+                        y.ravel().astype(np.int64), tol)
+    return got.reshape(s.shape) if s.ndim else float(got[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +333,25 @@ class KernelSpec:
         M_j(t, y) for a finite configuration (guarded: ``ConvergenceError``
         when cancellation in the martingale series could cost more than
         ~1e-10 absolute in an entry), the lattice sum over a*Z (by its
-        folded form), or the stationary band integral int_0^rho (for s > t
-        the whole kernel is minus the complementary band int_rho^1).
-        ``tol`` is the quadrature tolerance.  The "paper" gauge multiplies
-        by e^{s-t}.  Work shared between entries (Bessel tables, martingale
-        rows, quadratures) is done once per batch, so callers pass every
-        entry they need at once.
+        folded form: the stationary kernel at density 1/a plus the aliasing
+        remainder), or the stationary band integral int_0^rho.  For s > t
+        the stationary part is minus the complementary band int_rho^1,
+        which holds the backward term.  ``tol`` is the quadrature
+        tolerance.  The "paper" gauge multiplies by e^{s-t}.  Work shared
+        between entries (Bessel tables, martingale rows, quadratures) is
+        done once per batch, so callers pass every entry they need at once.
 
-        The lattice quadrature stops at 2048 nodes and raises
-        ``ConvergenceError`` there.  While (t - s)*(1 - cos(pi/a)) <= 3 that
-        happens only beyond |y - x| of about 615*a: 1224 is accepted on
-        a = 2, 1844 on a = 3 and 3072 on a = 5 (scanned in steps of 4 at
-        s, t in {0, 1, 4, 8, 16}), and the first refusals lie at 1228-1236,
-        1848-1852 and 3076-3084.  Where t - s is larger the integrand grows
-        like exp((t - s)*(1 - cos(pi/a))) while the kernel need not, so
-        wide pairs are refused earlier: on a = 2 from |y - x| = 100 at
-        (s, t) = (0, 8).
+        The quadratures stop at 2048 nodes and raise ``ConvergenceError``
+        there.  On the lattice, while (t - s)*(1 - cos(pi/a)) <= 3, that
+        happens only beyond |y - x| of about 615*a for s <= t: 1228 is
+        accepted on a = 2, 1844 on a = 3 and 3076 on a = 5 (scanned in
+        steps of 4 at s, t in {0, 1, 4, 8, 16}), and the first refusals lie
+        at 1232-1408, 1848-1936 and 3080-3136.  For s > t the band over
+        [1/a, 1] also bounds it, near |y - x| = 1240*a/(a - 1): the first
+        refusals lie at 1236-1564, 1852-1932 and 1548-1596.  Where t - s is
+        larger the integrand grows like exp((t - s)*(1 - cos(pi/a))) while
+        the kernel need not, so wide pairs are refused earlier: on a = 2
+        from |y - x| = 92 at (s, t) = (0, 8).
         """
         return self._evaluate(ps, qs, False, tol)
 
@@ -376,21 +366,16 @@ class KernelSpec:
         if not len(s):
             return np.zeros(0)
         variant = self.variant
-        bound = None
         if isinstance(variant, FiniteConfiguration):
             out, bound = _finite_sums(variant, s, x, t, y)
+            _rounding_guard(variant, out, bound, t, matrix)
         elif isinstance(variant, LatticeSpec):
-            out = _lattice_sums(variant, s, x, t, y,
-                                [(0, 1.0)] + remainder_branches(variant), tol)
+            # the principal band (shift m = 0) is the stationary kernel at
+            # density 1/a, backward term included
+            out = _stationary_bands(variant.density, t - s, y - x, tol=tol)
+            out += _lattice_sums(variant, s, x, t, y, tol)
         else:
             out = _stationary_bands(variant.rho, t - s, y - x, tol=tol)
-        # the stationary band integral already holds the backward term
-        back = (s > t) & (not isinstance(variant, StationarySpec))
-        if back.any():
-            out[back] -= _bessel_rows(s[back] - t[back],
-                                      np.abs(x[back] - y[back]))
-        if bound is not None:
-            _rounding_guard(variant, out, bound, t, matrix)
         if self.gauge == "paper":
             out *= np.exp(s - t)
         return out

@@ -72,9 +72,10 @@ class LatticeSpec:
     a: int
 
     def __post_init__(self):
-        if self.a != int(self.a) or self.a < 2:
-            raise ValueError(f"lattice spacing must be an integer >= 2, got {self.a}")
-        object.__setattr__(self, "a", int(self.a))
+        (a,) = _integers((self.a,), "lattice spacing")
+        if a < 2:
+            raise ValueError(f"lattice spacing must be an integer >= 2, got {a}")
+        object.__setattr__(self, "a", a)
 
     @property
     def density(self) -> float:
@@ -204,11 +205,17 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
     arrays stay below 2^16 floats (for N <= 256) however many ys there are;
     every entry is the same whatever the batch it comes in.
     ``ConvergenceError`` when a series weight overflows double precision
-    (from N = 247 sites on at t = 0.5).
+    (from N = 247 sites on at t = 0.5); ``ValueError`` for a non-integral
+    or non-finite y.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+    ys = np.asarray(ys).reshape(-1)
+    if ys.dtype.kind not in "iu":
+        bad = ~np.isfinite(ys.astype(float)) | (ys != np.round(ys))
+        if bad.any():
+            raise ValueError(f"final sites must be integers, got {ys[bad][0]!r}")
+    ys = ys.astype(np.int64, copy=False)
     n = len(config)
     weights = _series_weights(n, float(t))
     rows = np.empty((len(ys), n))

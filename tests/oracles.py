@@ -5,8 +5,9 @@ series summation with compensated accumulation for the Bessel values, the
 signed Bessel transform summed ring by ring for site martingales (in
 double precision, and at 60 digits with mpmath), the site-martingale rows
 built one final site at a time, the lattice kernel by its defining sum
-over initial sites, Karlin-McGregor determinants of scipy's
-``ive`` for equal-time correlations, a jump-chain level simulation for
+over initial sites and at 40 digits by its folded form, Karlin-McGregor
+determinants of scipy's ``ive`` for equal-time correlations, a
+jump-chain level simulation for
 exit probabilities, and per-sample walk paths with a jump-by-jump
 exit-time loop as the reference for the block sampler.
 It also holds small functions the package does not export, kept as
@@ -215,7 +216,8 @@ def lattice_martingale_batch(lattice: LatticeSpec, offsets, t: float, *,
     in d, so it is evaluated as (1/pi) int_0^pi cos(lam*d/a) exp(t*(1 -
     cos(lam/a))) dlam, one quadrature for the whole batch.  Reduces to the
     sinc at t = 0 and to the Kronecker delta at lattice points.  Equals
-    a * ``lattice_kernel_g`` at dt = t.
+    a times the principal band (shift m = 0) of the folded lattice kernel at
+    dt = t, the stationary kernel at density 1/a.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -227,6 +229,68 @@ def lattice_martingale_batch(lattice: LatticeSpec, offsets, t: float, *,
         return np.cos(lam * d / a) * np.exp(t * (1.0 - np.cos(lam / a)))
 
     return gauss_legendre(integrand, 0.0, math.pi, tol=tol) / math.pi
+
+
+def band_mpmath(dt: float, dx: int, lo, hi, dps: int = 40):
+    """int_lo^hi cos(u*pi*dx) exp(dt*(1 - cos(u*pi))) du as an mpmath
+    number of ``dps`` digits.
+
+    Over [0, 1/a] it is the principal band (shift m = 0) of the folded
+    lattice kernel, for either sign of dt; over [rho, 1] the complementary
+    band of the stationary kernel.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        def f(u):
+            return mp.cos(u * mp.pi * dx) * mp.exp(dt * (1 - mp.cos(u * mp.pi)))
+
+        return mp.quad(f, [mp.mpf(lo), mp.mpf(hi)])
+
+
+def lattice_principal_band(lattice: LatticeSpec, dt: float, dx: int) -> float:
+    """Principal band (shift m = 0) of the folded lattice kernel,
+    int_0^{1/a} cos(u*pi*dx) exp(dt*(1 - cos(u*pi))) du: the lattice
+    martingale over a for dt >= 0, ``band_mpmath`` for dt < 0."""
+    import mpmath as mp
+
+    if dt >= 0:
+        return float(lattice_martingale_batch(lattice, [dx], dt)[0]) / lattice.a
+    return float(band_mpmath(dt, dx, 0, 1 / mp.mpf(lattice.a)))
+
+
+def lattice_kernel_mpmath(lattice: LatticeSpec, s: float, x: int, t: float,
+                          y: int, dps: int = 40) -> float:
+    """Lattice kernel K(s, x; t, y) (prob gauge) by its folded form at
+    ``dps`` digits: the band int_0^{1/a} (for s > t minus the complementary
+    band int_{1/a}^1, which holds the backward term) plus the comb shifts
+    m = 1 .. a//2 of the aliasing remainder,
+
+        (w/2*pi*a) int_{-pi}^{pi} cos(2*pi*m*x/a + lam*(y - x)/a)
+            * exp(t - s - t*cos(lam/a) + s*cos((2*pi*m - lam)/a)) dlam,
+
+    with weight w = 1 at m = a/2 and 2 otherwise.
+    """
+    import mpmath as mp
+
+    a = lattice.a
+    with mp.workdps(dps):
+        rho = mp.mpf(1) / a
+        if s > t:
+            total = -band_mpmath(t - s, y - x, rho, 1, dps)
+        else:
+            total = band_mpmath(t - s, y - x, 0, rho, dps)
+        s_, t_ = mp.mpf(s), mp.mpf(t)
+        for m in range(1, a // 2 + 1):
+            w = 1 if 2 * m == a else 2
+
+            def f(lam, m=m):
+                return mp.cos(2 * mp.pi * m * x / a + lam * (y - x) / a) * \
+                    mp.exp(t_ - s_ - t_ * mp.cos(lam / a)
+                           + s_ * mp.cos((2 * mp.pi * m - lam) / a))
+
+            total += w * mp.quad(f, [-mp.pi, 0, mp.pi]) / (2 * mp.pi * a)
+        return float(total)
 
 
 def lattice_kernel_site_sum(lattice: LatticeSpec, s: float, x: int, t: float,

@@ -10,8 +10,9 @@ import pytest
 from ncrw.cli import main
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
-from ncrw.martingales import FiniteConfiguration
+from ncrw.martingales import FiniteConfiguration, LatticeSpec
 from ncrw.montecarlo import BLOCK_SIZE
+from oracles import lattice_kernel_mpmath
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ncrw" / "schemas"
 
@@ -153,6 +154,17 @@ class TestCorrelationCommand:
         code2, out2 = run_cli(argv + ["--gauge", "paper"])
         assert json.loads(out2)["value"] == pytest.approx(doc["value"],
                                                           rel=1e-10)
+
+    def test_lattice_large_backward_lag(self):
+        # the 2x2 determinant of the 40-digit lattice kernel at lag 40
+        lat = LatticeSpec(2)
+        pts = [(0.5, 0), (40.5, 1)]
+        k = [[lattice_kernel_mpmath(lat, *p, *q) for q in pts] for p in pts]
+        want = k[0][0] * k[1][1] - k[0][1] * k[1][0]
+        code, out = run_cli(["correlation", "--spec", "lattice:2",
+                             "--at", "0.5:0", "--at", "40.5:1"])
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(want, abs=1e-14)
 
 
 class TestSimulateCommand:

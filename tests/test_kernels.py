@@ -12,14 +12,14 @@ from ncrw.correlations import (MultiTimePointSet, correlation_function,
                                density_profile, kernel_matrix)
 from ncrw.errors import ConvergenceError
 from ncrw.kernels import (GAUGES, KernelSpec, StationarySpec,
-                          lattice_kernel_g, lattice_kernel_remainder,
-                          sine_kernel)
+                          lattice_kernel_remainder, sine_kernel)
 from ncrw.martingales import FiniteConfiguration, LatticeSpec
 from ncrw.quadrature import gauss_legendre
 from ncrw.relaxation import relaxation_sweep
 from oracles import (gauge_transform, itilde, karlin_mcgregor,
                      kernel_finite_mpmath, lagrange_basis,
-                     lattice_kernel_site_sum)
+                     lattice_kernel_mpmath, lattice_kernel_site_sum,
+                     lattice_principal_band)
 
 WIDE = FiniteConfiguration.equidistant(2, 20)  # 2Z in [-20, 20], N = 21
 
@@ -348,6 +348,31 @@ class TestKernelLattice:
         assert report.gaps.shape == (8, 301)
         assert peak < 20e6
 
+    def test_backward_band_domain(self):
+        # for s > t the band over [1/a, 1] bounds |y - x| too: on a = 5
+        # near 1240 a / (a - 1) = 1550
+        lat = LatticeSpec(5)
+        got = kernel_value(lat, (4.0, 0), (1.0, 1500))
+        want = lattice_kernel_site_sum(lat, 4.0, 0, 1.0, 1500)
+        assert got == pytest.approx(want, abs=1e-13)
+        with pytest.raises(ConvergenceError):
+            kernel_value(lat, (4.0, 0), (1.0, 1600))
+
+    @pytest.mark.parametrize("a", [2, 3])
+    @pytest.mark.parametrize("lag", [10.0, 20.0, 30.0, 40.0])
+    def test_large_backward_lag(self, a, lag):
+        # s - t large: the band and the backward term p(s - t) are both of
+        # size ~1/sqrt(s - t) while their difference is ~e^{-(s - t)(1 -
+        # cos(pi/a))}, so the kernel must come from the complementary band
+        lat = LatticeSpec(a)
+        ps = [(0.5 + lag, 0)] * 2
+        qs = [(0.5, 0), (0.5, 1)]
+        want = np.array([lattice_kernel_mpmath(lat, *p, *q)
+                         for p, q in zip(ps, qs)])
+        for gauge, factor in (("prob", 1.0), ("paper", math.exp(lag))):
+            got = KernelSpec(lat, gauge).values(ps, qs)
+            assert got == pytest.approx(want * factor, rel=1e-12)
+
     @pytest.mark.parametrize("a, inside, beyond", [(2, 1200, 1240),
                                                     (3, 1800, 1860),
                                                     (5, 3000, 3090)])
@@ -374,7 +399,7 @@ class TestKernelStationary:
         # integral of the folded lattice kernel at rho = 1/a
         lat = LatticeSpec(2)
         got = stationary_value(0.5, 0.7, 2, "paper")
-        g = lattice_kernel_g(lat, 0.7, 2)
+        g = lattice_principal_band(lat, 0.7, 2)
         assert got == pytest.approx(math.exp(-0.7) * g, abs=1e-10)
 
     def test_backward_branch_sign(self):
@@ -471,7 +496,7 @@ class TestKernelSpec:
         p = (0.5, 0)
         # tol decides where node doubling stops at this far point, in
         # values and in kernel_matrix, which hands it on
-        far = (0.75, 22)
+        far = (0.75, 60)
         for kernel in (lambda tol: s.values([p], [far], tol=tol)[0],
                        lambda tol: kernel_matrix(s, [p, far], tol=tol)[0, 1]):
             loose, tight = kernel(1e-9), kernel(1e-13)
@@ -533,7 +558,7 @@ class TestLatticeSpectralParts:
     def test_principal_term_is_stationary_plus_indicator(self):
         lat = LatticeSpec(2)
         for dt, dx in [(0.0, 0), (0.0, 3), (0.8, 1), (-0.6, 2)]:
-            g = lattice_kernel_g(lat, dt, dx)
+            g = lattice_principal_band(lat, dt, dx)
             want = stationary_value(0.5, dt, dx, "prob")
             if dt < 0:
                 want += itilde(abs(dx), -dt)

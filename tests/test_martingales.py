@@ -50,6 +50,12 @@ class TestConfigurationTypes:
         with pytest.raises(ValueError):
             LatticeSpec(1)
 
+    def test_lattice_spec_rejects_non_finite_spacing(self):
+        for bad in (math.inf, math.nan, 2.5):
+            with pytest.raises(ValueError, match="lattice spacing"):
+                LatticeSpec(bad)
+        assert LatticeSpec(3.0).a == 3
+
     def test_equidistant(self):
         assert FiniteConfiguration.equidistant(2, 4).sites == \
             (-4, -2, 0, 2, 4)
@@ -290,6 +296,15 @@ class TestSiteMartingale:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             site_martingale_rows(FiniteConfiguration((0, 2)), -1.0, [0])
+
+    def test_non_integral_sites_rejected(self):
+        # 0.5 must not become the Kronecker row of site 0
+        c = FiniteConfiguration((0, 2))
+        for bad in ([0.5], [0, math.inf], np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="integers"):
+                site_martingale_rows(c, 0.0, bad)
+        rows = site_martingale_rows(c, 0.0, np.array([0.0, 1.0]))[0]
+        assert rows.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
 
 class TestSiteMartingaleBatch:

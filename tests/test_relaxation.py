@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ncrw.bessel import transition_probability_quadrature
-from ncrw.kernels import (KernelSpec, StationarySpec, lattice_kernel_g,
-                          lattice_kernel_remainder, sine_kernel)
+from ncrw.kernels import (KernelSpec, StationarySpec, lattice_kernel_remainder,
+                          sine_kernel)
 from ncrw.martingales import LatticeSpec
 from ncrw.quadrature import gauss_legendre
 from ncrw.relaxation import (RelaxationReport, relaxation_sweep,
                              remainder_damping_max)
-from oracles import itilde, lattice_kernel_site_sum, relaxation_gap
+from oracles import (itilde, lattice_kernel_site_sum, lattice_principal_band,
+                     relaxation_gap)
 
 LAT2 = LatticeSpec(2)
 
@@ -28,7 +29,7 @@ class TestDecomposition:
         kl = lattice_kernel_site_sum(LAT2, s, x, t, y)
         indicator = itilde(abs(x - y), s - t) if s > t else 0.0
         got = kl + indicator
-        want = lattice_kernel_g(LAT2, t - s, y - x) + \
+        want = lattice_principal_band(LAT2, t - s, y - x) + \
             lattice_kernel_remainder(LAT2, s, x, t, y)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -36,7 +37,7 @@ class TestDecomposition:
         lat = LatticeSpec(3)
         s, x, t, y = 1.0, 0, 2.0, 1
         kl = lattice_kernel_site_sum(lat, s, x, t, y)
-        want = lattice_kernel_g(lat, t - s, y - x) + \
+        want = lattice_principal_band(lat, t - s, y - x) + \
             lattice_kernel_remainder(lat, s, x, t, y)
         assert kl == pytest.approx(want, abs=1e-8)
 
