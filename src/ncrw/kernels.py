@@ -81,19 +81,25 @@ def sine_kernel(rho: float, n: int) -> float:
     return math.sin(rho * math.pi * n) / (math.pi * n)
 
 
-def _groups(*columns: np.ndarray):
-    # (key, indices) for every distinct row of the key columns, by sorting;
-    # not np.unique, whose first call imports numpy.ma (~1 MB of RSS)
+def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    # the distinct rows of the key columns, as sorted columns (the last
+    # column leads), and for every row the index of its distinct row; by
+    # sorting, not np.unique, whose first call imports numpy.ma (~1 MB of RSS)
     order = np.lexsort(columns)
-    starts = np.any([c[order][1:] != c[order][:-1] for c in columns], axis=0)
-    for idx in np.split(order, np.flatnonzero(starts) + 1):
-        yield tuple(c[idx[0]].item() for c in columns), idx
+    cols = [c[order] for c in columns]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return [c[new] for c in cols], inverse
 
 
 def _bessel_rows(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
     # p(t_i, .) at orders[i]: one scaled Bessel table per distinct time
+    (tk,), inverse = _distinct(times)
     out = np.empty(orders.shape)
-    for (t,), idx in _groups(times):
+    for k, t in enumerate(tk.tolist()):
+        idx = inverse == k
         n = orders[idx]
         out[idx] = scaled_bessel_i_all(int(n.max()), t)[n]
     return out
@@ -107,20 +113,22 @@ def _finite_sums(config: FiniteConfiguration, s, x, t, y
                  ) -> tuple[np.ndarray, np.ndarray]:
     # sum_j p(s, x|u_j) M_j(t, y) - 1(s>t) p(s-t, x|y) per entry, with an
     # estimate of its rounding error: one Bessel table per distinct s and one
-    # site-martingale row per distinct (t, y).  spread[k] is the sum of
-    # absolute series terms of M_k, so eps * sum_k p(s, x|u_k) spread_k
-    # estimates the rounding error of each entry (the "bound" B the guard
-    # judges).
+    # site_martingale_rows call per distinct t, over that t's distinct ys.
+    # spread[k] is the sum of absolute series terms of M_k, so
+    # eps * sum_k p(s, x|u_k) spread_k estimates the rounding error of each
+    # entry (the "bound" B the guard judges).
     weights = _bessel_rows(s, np.abs(x[:, None] - np.asarray(config.sites)))
-    rows = np.empty(weights.shape)
-    spreads = np.empty(weights.shape)
-    for (tv, yv), idx in _groups(t, y):
-        rows[idx], spreads[idx] = site_martingale_rows(config, tv, [yv])
-    out = np.einsum("ij,ij->i", weights, rows)
+    (yk, tk), inverse = _distinct(y, t)
+    (tu,), of_t = _distinct(tk)
+    rows, spreads = np.empty((2, len(yk), len(config)))
+    for k, tv in enumerate(tu.tolist()):
+        idx = of_t == k
+        rows[idx], spreads[idx] = site_martingale_rows(config, tv, yk[idx])
+    out = np.einsum("ij,ij->i", weights, rows[inverse])
     back = s > t
     if back.any():
         out[back] -= _bessel_rows(s[back] - t[back], np.abs(x[back] - y[back]))
-    return out, _EPS * np.einsum("ij,ij->i", weights, spreads)
+    return out, _EPS * np.einsum("ij,ij->i", weights, spreads[inverse])
 
 
 def _balance(a: np.ndarray) -> np.ndarray:
@@ -185,18 +193,6 @@ def remainder_branches(lattice: LatticeSpec) -> list[tuple[int, float]]:
     """
     a = lattice.a
     return [(m, 1.0 if 2 * m == a else 2.0) for m in range(1, a // 2 + 1)]
-
-
-def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    # the distinct rows of the key columns, as sorted columns (the last
-    # column leads), and for every row the index of its distinct row
-    order = np.lexsort(columns)
-    cols = [c[order] for c in columns]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return [c[new] for c in cols], inverse
 
 
 def _lattice_sums(lattice: LatticeSpec, s, x, t, y, tol: float) -> np.ndarray:
@@ -275,8 +271,10 @@ def _stationary_bands(rho: float, dt, dx, *, tol: float) -> np.ndarray:
     # cos(u*pi))) du for dt > 0, minus the same over [rho, 1] for dt < 0
     # (not int_0^rho - p(-dt, dx), which cancels two terms of size
     # ~1/sqrt(|dt|) down to one of size ~e^{-|dt|}); sine kernel at dt = 0.
+    (dk,), inverse = _distinct(dt)
     out = np.empty(len(dt))
-    for (dtv,), idx in _groups(dt):
+    for k, dtv in enumerate(dk.tolist()):
+        idx = inverse == k
         n = dx[idx]
         if dtv == 0.0:
             out[idx] = [sine_kernel(rho, v) for v in n.tolist()]

@@ -132,9 +132,9 @@ def martingale_polynomial(n: int, t: float, x: float) -> float:
 # site martingales of a finite configuration
 # ---------------------------------------------------------------------------
 
-# ys per block of site_martingale_rows: at most 2^16 floats in each
+# ys per block of site_martingale_rows: at most 2^13 floats (64 KB) in each
 # (Y, N, N) work array, so memory stays O(N^2 * block) for any number of ys
-_ROW_BLOCK_FLOATS = 1 << 16
+_ROW_BLOCK_FLOATS = 1 << 13
 
 
 @lru_cache(maxsize=64)
@@ -201,9 +201,9 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
     too large).  At t = 0 the row is the Lagrange basis Phi^{u_k}(y) itself,
     the Kronecker row at a site.
 
-    The ys are worked through in blocks of max(1, 2^16 // N^2), so the work
-    arrays stay below 2^16 floats (for N <= 256) however many ys there are;
-    every entry is the same whatever the batch it comes in.
+    The ys are worked through in blocks of max(1, 2^13 // N^2), weighted in
+    place, so the work arrays stay below 2^13 floats (for N <= 90) however
+    many ys there are; every entry is the same whatever the batch.
     ``ConvergenceError`` when a series weight overflows double precision
     (from N = 247 sites on at t = 0.5); ``ValueError`` for a non-integral
     or non-finite y.
@@ -222,7 +222,8 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
     spreads = np.empty((len(ys), n))
     block = max(1, _ROW_BLOCK_FLOATS // (n * n))
     for lo in range(0, len(ys), block):
-        terms = _basis_taylor_rows(config, ys[lo:lo + block]) * weights
+        terms = _basis_taylor_rows(config, ys[lo:lo + block])
+        terms *= weights
         rows[lo:lo + block] = terms.sum(axis=-1)
-        spreads[lo:lo + block] = np.abs(terms).sum(axis=-1)
+        spreads[lo:lo + block] = np.abs(terms, out=terms).sum(axis=-1)
     return rows, spreads

@@ -4,7 +4,8 @@ These deliberately avoid the package's evaluation strategies: direct
 series summation with compensated accumulation for the Bessel values, the
 signed Bessel transform summed ring by ring for site martingales (in
 double precision, and at 60 digits with mpmath), the site-martingale rows
-built one final site at a time, the lattice kernel by its defining sum
+built one final site at a time, the finite kernel sums with one row call
+per distinct (t, y), the lattice kernel by its defining sum
 over initial sites and at 40 digits by its folded form, Karlin-McGregor
 determinants of scipy's ``ive`` for equal-time correlations, a
 jump-chain level simulation for
@@ -28,7 +29,7 @@ from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.kernels import KernelSpec, StationarySpec
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
-                              _series_weights)
+                              _series_weights, site_martingale_rows)
 from ncrw.quadrature import gauss_legendre
 
 
@@ -421,6 +422,39 @@ def site_martingale_row_loop(config: FiniteConfiguration, t: float,
         coef[:, 1:] += shifted
     terms = coef * _series_weights(len(config), float(t))
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def _bessel_per_time(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    # p(t_i, .) at orders[i], each distinct time from one scaled Bessel table
+    # up to the largest order asked of that time
+    out = np.empty(orders.shape)
+    for tv in set(times.tolist()):
+        sel = times == tv
+        out[sel] = scaled_bessel_i_all(int(orders[sel].max()), tv)[orders[sel]]
+    return out
+
+
+def finite_sums_per_site(config: FiniteConfiguration, s, x, t, y
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Finite kernel entries sum_j p(s, x|u_j) M_j(t, y) - 1(s>t)
+    p(s-t, x|y) and their rounding bounds eps * sum_j p(s, x|u_j)
+    spread_j, with one ``site_martingale_rows`` call per distinct (t, y):
+    the per-site reference for ``kernels._finite_sums``, which makes one
+    call per distinct t."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    weights = _bessel_per_time(s, np.abs(x[:, None] - np.asarray(config.sites)))
+    rows, spreads, memo = np.empty(weights.shape), np.empty(weights.shape), {}
+    for i, key in enumerate(zip(t.tolist(), y.tolist())):
+        if key not in memo:
+            memo[key] = site_martingale_rows(config, key[0], [key[1]])
+        rows[i], spreads[i] = memo[key][0][0], memo[key][1][0]
+    out = np.einsum("ij,ij->i", weights, rows)
+    back = s > t
+    if back.any():
+        out[back] -= _bessel_per_time(s[back] - t[back], np.abs(x[back] - y[back]))
+    eps = float(np.finfo(float).eps)
+    return out, eps * np.einsum("ij,ij->i", weights, spreads)
 
 
 def karlin_mcgregor(sites, t: float, ys) -> float:

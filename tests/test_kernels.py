@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from ncrw import kernels
 from ncrw.bessel import truncation_radius
-from ncrw.correlations import (MultiTimePointSet, correlation_function,
-                               density_profile, kernel_matrix)
+from ncrw.correlations import (MultiTimePointSet, correlation_from_points,
+                               correlation_function, density_profile,
+                               kernel_matrix)
 from ncrw.errors import ConvergenceError
 from ncrw.kernels import (GAUGES, KernelSpec, StationarySpec,
                           lattice_kernel_remainder, sine_kernel)
-from ncrw.martingales import FiniteConfiguration, LatticeSpec
+from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
+                              LatticeSpec)
 from ncrw.quadrature import gauss_legendre
 from ncrw.relaxation import relaxation_sweep
-from oracles import (gauge_transform, itilde, karlin_mcgregor,
-                     kernel_finite_mpmath, lagrange_basis,
+from oracles import (finite_sums_per_site, gauge_transform, itilde,
+                     karlin_mcgregor, kernel_finite_mpmath, lagrange_basis,
                      lattice_kernel_mpmath, lattice_kernel_site_sum,
                      lattice_principal_band)
 
@@ -552,6 +554,110 @@ class TestBatchedValues:
         mat = kernel_matrix(spec, [(2.0, x) for x in window])
         assert np.array_equal(np.diag(mat), rho)
         assert np.sum(mat * mat.T) == pytest.approx(21.0, abs=1e-9)
+
+
+class TestFiniteRowBatching:
+    """``_finite_sums`` makes one ``site_martingale_rows`` call per distinct
+    t; every value and rounding bound equals that of one call per distinct
+    (t, y) (``oracles.finite_sums_per_site``)."""
+
+    CONFIGS = [FiniteConfiguration((0,)), FiniteConfiguration((0, 2, 5)),
+               FiniteConfiguration((-9, -7, -6, -3, -1, 0, 2, 3, 5, 8, 9, 12)),
+               WIDE]
+
+    @staticmethod
+    def assert_matches_oracle(config, ps, qs):
+        s, x = kernels._split_points(ps)
+        t, y = kernels._split_points(qs)
+        want, want_bound = finite_sums_per_site(config, s, x, t, y)
+        got, bound = kernels._finite_sums(config, s, x, t, y)
+        assert np.array_equal(got, want)
+        assert np.array_equal(bound, want_bound)
+        return want
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"N{len(c)}")
+    def test_mixed_batch_bit_equal(self, config):
+        # several times, repeated (t, y) pairs and s > t entries in one batch
+        rng = np.random.default_rng(len(config))
+        lo, hi = min(config.sites[0], -3), max(config.sites[-1], 3)
+        times = (0.0, 0.5, 1.25, 2.0)
+        ps = [(float(rng.choice(times)), int(rng.integers(lo, hi + 1)))
+              for _ in range(60)]
+        qs = [(float(rng.choice(times)), int(rng.integers(lo, hi + 1)))
+              for _ in range(60)]
+        ps, qs = ps + ps[:10], qs + qs[:10]
+        s, t = kernels._split_points(ps)[0], kernels._split_points(qs)[0]
+        assert (s > t).any() and len(set(t.tolist())) == 4
+        want = self.assert_matches_oracle(config, ps, qs)
+        assert np.array_equal(KernelSpec(config).values(ps, qs), want)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"N{len(c)}")
+    def test_kernel_matrix_bit_equal(self, config):
+        points = [(t, x) for t in (0.25, 1.0, 1.75)
+                  for x in range(config.sites[0] - 2, config.sites[-1] + 3, 3)]
+        n = len(points)
+        want = self.assert_matches_oracle(
+            config, [p for p in points for _ in range(n)], points * n)
+        got = kernel_matrix(KernelSpec(config), points)
+        assert np.array_equal(got.ravel(), want)
+
+    def test_block_boundary_bit_equal(self):
+        # the ys of t = 1.5 span several blocks of site_martingale_rows
+        ys = range(-20, 21)
+        assert len(ys) > _ROW_BLOCK_FLOATS // len(WIDE) ** 2
+        ps = [(s, x) for s in (0.5, 1.5, 3.0) for x in (-21, 0, 7)]
+        qs = [(1.5, y) for y in ys] + [(0.75, y) for y in ys[::7]]
+        pairs = [(p, q) for p in ps for q in qs]
+        want = self.assert_matches_oracle(WIDE, *zip(*pairs))
+        got = KernelSpec(WIDE).values(*zip(*pairs))
+        assert np.array_equal(got, want)
+
+    def test_guard_decisions(self):
+        # K(t, 0; t, 0) answered at t = 25 (60 digits: 0.2745580094176918)
+        # and a bound over the budget at t = 50, in both routes
+        at = np.array([25.0, 50.0])
+        sites = np.zeros(2, dtype=np.int64)
+        want, bound = finite_sums_per_site(WIDE, at, sites, at, sites)
+        assert want[0] == 0.27455800941788766
+        assert bound[0] <= kernels._ROUNDING_BUDGET < bound[1]
+        assert kernel_value(WIDE, (25.0, 0), (25.0, 0)) == want[0]
+        with pytest.raises(ConvergenceError):
+            kernel_value(WIDE, (50.0, 0), (50.0, 0))
+
+    @pytest.fixture
+    def row_calls(self, monkeypatch):
+        calls, rows = [], kernels.site_martingale_rows
+
+        def spy(config, t, ys):
+            calls.append(t)
+            return rows(config, t, ys)
+
+        monkeypatch.setattr(kernels, "site_martingale_rows", spy)
+        return calls
+
+    def test_one_row_call_per_density_window(self, row_calls):
+        density_profile(KernelSpec(WIDE), 3.0, range(-44, 45))
+        assert row_calls == [3.0]
+
+    def test_one_row_call_per_correlation_time(self, row_calls):
+        times = (0.5, 1.0, 2.25, 3.0)
+        points = [(t, x) for t in times for x in (-1, 2, 4)]
+        correlation_from_points(KernelSpec(FiniteConfiguration((0, 2, 5))),
+                                points)
+        assert sorted(row_calls) == list(times)
+
+    def test_density_window_memory(self):
+        # 89 diagonal entries at N = 21 in blocks of 2^13 // 21^2 = 18 ys:
+        # (18, 21, 21) work arrays of 64 KB each, not one (89, 21, 21) block
+        spec = KernelSpec(WIDE)
+        density_profile(spec, 3.0, range(-44, 45))  # tables cached untraced
+        tracemalloc.start()
+        try:
+            density_profile(spec, 3.0, range(-44, 45))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640e3
 
 
 class TestLatticeSpectralParts:

@@ -334,7 +334,9 @@ class TestSiteMartingaleBatch:
         assert rows.shape == spreads.shape == (0, 2)
 
     def test_memory_stays_blocked(self):
-        # 300 ys at N = 60 unblocked: four (Y, N, N) work arrays of 8.6 MB
+        # 300 ys at N = 60: unblocked, four (Y, N, N) work arrays of 8.6 MB;
+        # in blocks of 2^13 // 60^2 = 2 ys, 58 KB each (0.75 MB peak with
+        # the 0.29 MB of rows and spreads; blocks of 2^16 floats took 2.4 MB)
         c = FiniteConfiguration(tuple(range(0, 120, 2)))
         site_martingale_rows(c, 0.5, [0])  # series weights cached untraced
         tracemalloc.start()
@@ -343,7 +345,7 @@ class TestSiteMartingaleBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 1.5e6
 
     def test_series_weights_match_taylor_coefficients(self):
         # m! * [a^m] exp(-t(cosh a - 1)), from mpmath's Taylor expansion
