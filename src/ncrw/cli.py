@@ -112,12 +112,14 @@ def _emit_json(doc: dict, cfg: RunConfig) -> None:
     _emit(json.dumps(doc, indent=2, allow_nan=True) + "\n", cfg)
 
 
-def _emit_csv(header: list[str], rows: list[list], cfg: RunConfig) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    _emit("\n".join(lines) + "\n", cfg)
+def _emit_csv(header: list[str], kinds: str, rows, cfg: RunConfig) -> None:
+    # One %-template for the whole table, from the declared column kinds:
+    # "f" columns print as _fmt does ('%.17g' % v is format(v, '.17g')),
+    # the others as str(v).
+    cells = [v for row in rows for v in row]
+    line = ",".join("%.17g" if k == "f" else "%s" for k in kinds) + "\n"
+    body = (line * (len(cells) // len(kinds))) % tuple(cells)
+    _emit(",".join(header) + "\n" + body, cfg)
 
 
 def _parse_point(text: str) -> tuple[float, int]:
@@ -175,8 +177,8 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
                  for y in _parse_range(parts[3])]
         values = spec.values([(s, x) for x, _ in cells],
                              [(t, y) for _, y in cells], tol=cfg.tol_quad)
-        _emit_csv(["s", "x", "t", "y", "value"],
-                  [[_fmt(s), x, _fmt(t), y, v]
+        _emit_csv(["s", "x", "t", "y", "value"], "fsfsf",
+                  [[s, x, t, y, v]
                    for (x, y), v in zip(cells, values.tolist())], cfg)
         return 0
     if args.dt is not None:
@@ -194,9 +196,9 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
         _emit_json({"spec": args.spec, "gauge": args.gauge,
                     "points": points, "value": value}, cfg)
     elif cfg.output == "csv":
-        _emit_csv(["s", "x", "t", "y", "value"],
-                  [[_fmt(float(points[0][0])), int(points[0][1]),
-                    _fmt(float(points[1][0])), int(points[1][1]), value]], cfg)
+        _emit_csv(["s", "x", "t", "y", "value"], "fsfsf",
+                  [[float(points[0][0]), int(points[0][1]),
+                    float(points[1][0]), int(points[1][1]), value]], cfg)
     else:
         _emit(_fmt(value) + "\n", cfg)
     return 0
@@ -210,8 +212,8 @@ def _cmd_density(args, cfg: RunConfig) -> int:
         _emit_json({"spec": args.spec, "t": args.t,
                     "rows": [[x, v] for x, v in zip(window, rho)]}, cfg)
     else:
-        _emit_csv(["t", "x", "rho"],
-                  [[_fmt(args.t), x, v] for x, v in zip(window, rho)], cfg)
+        _emit_csv(["t", "x", "rho"], "fsf",
+                  [[args.t, x, v] for x, v in zip(window, rho)], cfg)
     return 0
 
 
@@ -220,7 +222,7 @@ def _cmd_correlation(args, cfg: RunConfig) -> int:
     pts = _parse_at_groups(args.at)
     value = correlation_function(spec, pts, tol=cfg.tol_quad)
     if cfg.output == "csv":
-        _emit_csv(["points", "value"],
+        _emit_csv(["points", "value"], "sf",
                   [[";".join(f"{t}:" + "|".join(map(str, sites))
                              for t, sites in pts.groups), value]], cfg)
     else:
@@ -256,8 +258,9 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     }
     if cfg.output == "csv":
         _emit_csv(["estimate", "std_error", "ess", "analytic_value", "z_score"],
-                  [[result.mean, result.std_error, result.effective_samples,
-                    analytic, float("nan") if z is None else z]], cfg)
+                  "fffff", [[result.mean, result.std_error,
+                             result.effective_samples, analytic,
+                             float("nan") if z is None else z]], cfg)
     else:
         _emit_json(doc, cfg)
     return 0
@@ -268,24 +271,26 @@ def _cmd_relaxation(args, cfg: RunConfig) -> int:
     if args.dx_max < 0:
         raise ValueError(f"--dx-max must be >= 0, got {args.dx_max}")
     taus = tuple(float(v) for v in args.tau.split(","))
-    displacements = [(args.dt, dx) for dx in range(0, args.dx_max + 1)]
-    report = relaxation_sweep(lattice, displacements, taus,
+    dxs = range(0, args.dx_max + 1)
+    report = relaxation_sweep(lattice, [(args.dt, dx) for dx in dxs], taus,
                               tol=cfg.tol_quad)
-    rows = []
-    for i, tau in enumerate(report.tau_grid):
-        for j, (dt, dx) in enumerate(report.displacements):
-            rows.append([_fmt(tau), _fmt(dt), dx,
-                         float(report.lattice_values[i, j]),
-                         float(report.stationary_values[j]),
-                         float(report.gaps[i, j])])
+    columns = (list(dxs) * len(taus), report.lattice_values.ravel().tolist(),
+               report.stationary_values.tolist() * len(taus),
+               report.gaps.ravel().tolist())
+
+    def cells(tau_col, dt):
+        # one row per (tau, dx) cell, each tau given once
+        return zip([v for v in tau_col for _ in dxs], [dt] * len(columns[0]),
+                   *columns)
+
     if cfg.output == "json":
+        keys = ("tau", "dt", "dx", "lattice_value", "stationary_value", "gap")
         _emit_json({"a": args.a, "entries": [
-            {"tau": float(r[0]), "dt": float(r[1]), "dx": r[2],
-             "lattice_value": r[3], "stationary_value": r[4], "gap": r[5]}
-            for r in rows]}, cfg)
+            dict(zip(keys, c)) for c in cells(taus, args.dt)]}, cfg)
     else:
         _emit_csv(["tau", "dt", "dx", "lattice_value", "stationary_value",
-                   "gap"], rows, cfg)
+                   "gap"], "sssfff", cells(map(_fmt, taus), _fmt(args.dt)),
+                  cfg)
     return 0
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -85,10 +86,11 @@ def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     # the distinct rows of the key columns, as sorted columns (the last
     # column leads), and for every row the index of its distinct row; by
     # sorting, not np.unique, whose first call imports numpy.ma (~1 MB of RSS)
-    order = np.lexsort(columns)
+    order = np.lexsort(columns) if len(columns) > 1 else \
+        np.argsort(columns[0], kind="stable")
     cols = [c[order] for c in columns]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
+    new[1:] = reduce(np.logical_or, [c[1:] != c[:-1] for c in cols])
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return [c[new] for c in cols], inverse
@@ -212,27 +214,27 @@ def _lattice_sums(lattice: LatticeSpec, s, x, t, y, tol: float) -> np.ndarray:
     a = lattice.a
     shifts = remainder_branches(lattice)
     (r, sk, tk, d), inverse = _distinct(x % a, s, t, y - x)
-    m = np.array([v for v, _ in shifts], dtype=float)
-    w = np.array([v for _, v in shifts]) / (2.0 * math.pi * a)
+    m = np.array([v for v, _ in shifts], dtype=float)[:, None, None]
+    w = np.array([v for _, v in shifts])[:, None, None] / (2.0 * math.pi * a)
     per_block = max(1, _LATTICE_BLOCK_FLOATS // len(shifts))
     out = np.empty(len(d))
     for lo in range(0, len(d), per_block):
         blk = slice(lo, lo + per_block)
         # the damping factor depends on (s, t), the wave on (y - x, x mod a)
+        # node tables are (shift, node, key): the gathers run on the last axis
         (sb, tb), si = _distinct(sk[blk], tk[blk])
         (rb, db), di = _distinct(r[blk], d[blk])
-        sb, tb = sb[:, None], tb[:, None]
-        phase = 2.0 * math.pi * m * rb[:, None] / a
-        freq = db[:, None] / a
+        phase = 2.0 * math.pi * m * rb / a
+        freq = db / a
 
         def integrand(lam, sb=sb, tb=tb, si=si, phase=phase, freq=freq, di=di):
-            lam = lam[:, None, None]
+            lam = lam[:, None]
             damp = sb * np.cos((2.0 * math.pi * m - lam) / a)
             damp += tb * (1.0 - np.cos(lam / a)) - sb
             np.exp(damp, out=damp)
             wave = np.cos(phase + lam * freq)
             wave *= w
-            return np.einsum("nkm,nkm->nk", damp[:, si], wave[:, di])
+            return np.einsum("mnk,mnk->nk", damp[..., si], wave[..., di])
 
         out[blk] = gauss_legendre(integrand, -math.pi, math.pi, tol=tol)
     return out[inverse]

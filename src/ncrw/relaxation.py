@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (KernelSpec, LatticeSpec, StationarySpec,
-                      remainder_branches)
+                      lattice_kernel_remainder, remainder_branches)
 from .quadrature import _leggauss
 
 
@@ -67,8 +67,10 @@ def relaxation_sweep(lattice: LatticeSpec,
     """Evaluate the gap matrix over (tau, displacement) cells.
 
     Each displacement (dt, dx) compares K(tau, 0; tau + dt, dx) with the
-    stationary value, both in the probability gauge.
-    Every lattice cell of the sweep is one entry of a single kernel batch.
+    stationary value, both in the probability gauge.  The principal band of
+    the lattice kernel is the stationary kernel, so it is integrated once
+    per displacement, and each lattice cell adds its aliasing remainder to
+    it; the remainders of every cell are one batch.
     """
     taus = tuple(float(v) for v in tau_grid)
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -81,10 +83,10 @@ def relaxation_sweep(lattice: LatticeSpec,
     ends = [(max(dt, 0.0), dx) for dt, dx in disp]
     stationary = KernelSpec(StationarySpec(lattice.density)).values(
         starts, ends, tol=tol)
-    lattice_vals = KernelSpec(lattice).values(
-        [(tau + s, x) for tau in taus for s, x in starts],
-        [(tau + t, y) for tau in taus for t, y in ends],
-        tol=tol).reshape(len(taus), len(disp))
+    tau = np.array(taus)[:, None]
+    lattice_vals = stationary + lattice_kernel_remainder(
+        lattice, tau + [s for s, _ in starts], 0, tau + [t for t, _ in ends],
+        [y for _, y in ends], tol=tol)
     gaps = np.abs(lattice_vals - stationary[None, :])
     return RelaxationReport(lattice, disp, taus, lattice_vals, stationary,
                             gaps)

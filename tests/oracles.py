@@ -14,8 +14,8 @@ exit-time loop as the reference for the block sampler.
 It also holds small functions the package does not export, kept as
 references for the tests: single transition probabilities, the scalar
 Lagrange basis, signed Bessel values, the characteristic function,
-Esscher weights, the sinc basis, gauge transforms and the relaxation gap
-of a single cell.
+Esscher weights, the sinc basis, gauge transforms, the relaxation gap
+of a single cell and a CSV writer that formats one value at a time.
 """
 
 from __future__ import annotations
@@ -619,3 +619,18 @@ def ensembles_of_block(block) -> list[WalkEnsemble]:
                                   block.steps[lo:hi][order]))
         out.append(WalkEnsemble(block.config, tuple(paths)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# command-line output
+# ---------------------------------------------------------------------------
+
+def csv_per_value(header: list[str], rows) -> str:
+    """A CSV table written one value at a time: floats by
+    ``format(v, '.17g')``, everything else by ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g")
+                              if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"

@@ -139,6 +139,25 @@ def test_gauss_legendre_stops_at_node_cap(monkeypatch):
     assert max(quadrature._leggauss_cache) == 2048
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3), (3, 1, 4)])
+def test_gauss_legendre_levels_match_tensordot(shape):
+    # a polynomial integrand is converged at the second level (64 nodes);
+    # its value is the tensordot of the weights with the node table, exactly
+    coef = np.random.default_rng(len(shape)).normal(size=(3, *shape))
+
+    def f(x):
+        x = x.reshape(-1, *[1] * len(shape))
+        return coef[0] + coef[1] * x + coef[2] * x ** 5
+
+    x, w = quadrature._leggauss(64)
+    want = 1.5 * np.tensordot(w, f(0.5 + 1.5 * x), axes=(0, 0))
+    got = quadrature.gauss_legendre(f, -1.0, 2.0)
+    assert np.shape(got) == shape
+    assert np.array_equal(got, want)
+    if not shape:
+        assert isinstance(got, float)
+
+
 @pytest.mark.parametrize("n", [32, 33, 64, 128, 256, 512, 1024, 2048])
 def test_gauss_legendre_nodes_match_numpy(n):
     # Newton nodes against numpy's companion-matrix eigensolve; weights

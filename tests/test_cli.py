@@ -6,13 +6,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncrw.cli import main
+from ncrw.cli import RunConfig, _emit_csv, main
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
 from ncrw.martingales import FiniteConfiguration, LatticeSpec
 from ncrw.montecarlo import BLOCK_SIZE
-from oracles import lattice_kernel_mpmath
+from oracles import csv_per_value, lattice_kernel_mpmath
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ncrw" / "schemas"
 
@@ -316,3 +318,111 @@ class TestSelftestCommand:
         assert len(flagged) == 8
         # exit code mirrors the per-check flags
         assert (code == 0) == all(l.startswith("PASS") for l in flagged)
+
+
+CELLS = {
+    "f": st.floats() | st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310]),
+    "i": st.integers(-10 ** 20, 10 ** 20),
+    "s": st.text(max_size=6),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    kinds = draw(st.text(alphabet="fis", min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=8))
+    return kinds, rows
+
+
+# Exact standard output of one call per CSV table writer (and the relaxation
+# JSON), recorded before the writer formatted a table with one %-template.
+# The relaxation calls are at dt = 0, where the principal band is the closed
+# form sine kernel.
+GOLDEN = [
+    (["kernel", "--spec", "lattice:2", "--grid", "0.5,-1:1,1.25,0:2"],
+     "s,x,t,y,value\n"
+     "0.5,-1,1.25,0,0.19338892490464032\n"
+     "0.5,-1,1.25,1,0.042456919687761496\n"
+     "0.5,-1,1.25,2,-0.044669253895078809\n"
+     "0.5,0,1.25,0,1.0799621003412747\n"
+     "0.5,0,1.25,1,0.5656452070323239\n"
+     "0.5,0,1.25,2,-0.26236797905671944\n"
+     "0.5,1,1.25,0,0.19338892490464032\n"
+     "0.5,1,1.25,1,0.26996667159953464\n"
+     "0.5,1,1.25,2,0.19338892490464027\n"),
+    (["density", "--spec", "finite:0,2,5", "--t", "1.5", "--window", "-2:7"],
+     "t,x,rho\n"
+     "1.5,-2,0.19291153879770001\n"
+     "1.5,-1,0.34790360840187956\n"
+     "1.5,0,0.33111540908883919\n"
+     "1.5,1,0.25499786375767797\n"
+     "1.5,2,0.44618253336644653\n"
+     "1.5,3,0.2750292442548547\n"
+     "1.5,4,0.16286541737743737\n"
+     "1.5,5,0.33512338574638484\n"
+     "1.5,6,0.32610762092407514\n"
+     "1.5,7,0.16734749976279142\n"),
+    (["correlation", "--spec", "finite:0,1,3", "--at", "0.5:0,1",
+      "--at", "1.0:2", "--output", "csv"],
+     "points,value\n"
+     "0.5:0|1;1.0:2,0.10231896395151563\n"),
+    (["simulate", "--config", "0,10,21", "--T", "1", "--samples", "64",
+      "--estimator", "dmr", "--at", "0.25:0", "--seed", "3",
+      "--output", "csv"],
+     "estimate,std_error,ess,analytic_value,z_score\n"
+     "0.82723214285714286,0.050513287934733545,61.514377081539159,"
+     "0.79007547504193398,0.73558204849420439\n"),
+    (["relaxation", "--a", "5", "--dt", "0", "--dx-max", "3",
+      "--tau", "0.5,4,16"],
+     "tau,dt,dx,lattice_value,stationary_value,gap\n"
+     "0.5,0,0,0.66645430714421838,0.20000000000000001,0.46645430714421837\n"
+     "0.5,0,1,0.62236107070646962,0.1870978567577278,0.43526321394874179\n"
+     "0.5,0,2,0.5003540374540838,0.1513653457281314,0.34898869172595237\n"
+     "0.5,0,3,0.32842276746980753,0.10091023048542094,0.22751253698438659\n"
+     "4,0,0,0.27140015534596112,0.20000000000000001,0.071400155345961114\n"
+     "4,0,1,0.2511293575463584,0.1870978567577278,0.064031500788630596\n"
+     "4,0,2,0.19530606949795043,0.1513653457281314,0.043940723769819029\n"
+     "4,0,3,0.11747917450553511,0.10091023048542094,0.016568944020114162\n"
+     "16,0,0,0.21697231355601143,0.20000000000000001,0.01697231355601142\n"
+     "16,0,1,0.20132252757683261,0.1870978567577278,0.014224670819104807\n"
+     "16,0,2,0.15826126446183092,0.1513653457281314,0.0068959187336995187\n"
+     "16,0,3,0.098328961291103509,0.10091023048542094,0.0025812691943174343"
+     "\n"),
+    (["relaxation", "--a", "4", "--dt", "0", "--dx-max", "1",
+      "--tau", "2,32", "--output", "json"],
+     json.dumps({"a": 4, "entries": [
+         {"tau": 2.0, "dt": 0.0, "dx": 0,
+          "lattice_value": 0.3805462871549059,
+          "stationary_value": 0.25, "gap": 0.1305462871549059},
+         {"tau": 2.0, "dt": 0.0, "dx": 1,
+          "lattice_value": 0.33750790908950745,
+          "stationary_value": 0.22507907903927651,
+          "gap": 0.11242883005023094},
+         {"tau": 32.0, "dt": 0.0, "dx": 0,
+          "lattice_value": 0.2570371709357262,
+          "stationary_value": 0.25, "gap": 0.0070371709357262},
+         {"tau": 32.0, "dt": 0.0, "dx": 1,
+          "lattice_value": 0.23016273509398552,
+          "stationary_value": 0.22507907903927651,
+          "gap": 0.005083656054709007}]}, indent=2) + "\n"),
+]
+
+
+class TestOutputBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_tables())
+    def test_csv_template_matches_per_value_writer(self, table):
+        # ints are declared like strings: only floats get '%.17g'
+        kinds, rows = table
+        header = [f"c{i}" for i in range(len(kinds))]
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            _emit_csv(header, kinds.replace("i", "s"), rows,
+                      RunConfig(1e-13, 1, 0, None, None))
+        assert buf.getvalue() == csv_per_value(header, rows)
+
+    @pytest.mark.parametrize("argv,want", GOLDEN,
+                             ids=[" ".join(a[:1] + a[-2:]) for a, _ in GOLDEN])
+    def test_golden_output(self, argv, want):
+        assert run_cli(argv) == (0, want)

@@ -289,7 +289,7 @@ class TestKernelLattice:
             assert a == pytest.approx(b, abs=1e-11)
 
     @settings(max_examples=200, deadline=None)
-    @given(a=st.sampled_from([2, 3, 4, 5, 7]),
+    @given(a=st.sampled_from([2, 3, 4, 5, 6, 7, 9]),
            s=st.integers(0, 16), t=st.integers(0, 16),
            x=st.integers(-12, 12), y=st.integers(-12, 12))
     def test_matches_site_sum_oracle(self, a, s, t, x, y):
@@ -554,6 +554,22 @@ class TestBatchedValues:
         mat = kernel_matrix(spec, [(2.0, x) for x in window])
         assert np.array_equal(np.diag(mat), rho)
         assert np.sum(mat * mat.T) == pytest.approx(21.0, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.one_of(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=40),
+        st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.5, 5e-324, 4.0]),
+                 min_size=1, max_size=40)))
+    def test_distinct_one_column_matches_lexsort(self, keys):
+        # the one-column path (stable argsort) against the multi-column
+        # path (lexsort) on the same column twice: bit-identical
+        keys = np.array(keys)
+        (one,), inverse = kernels._distinct(keys)
+        (first, second), inverse2 = kernels._distinct(keys, keys)
+        assert one.tobytes() == first.tobytes() == second.tobytes()
+        assert np.array_equal(inverse, inverse2)
+        assert np.array_equal(one[inverse], keys)
+        assert np.all(one[1:] > one[:-1])
 
 
 class TestFiniteRowBatching:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ncrw import kernels
 from ncrw.bessel import transition_probability_quadrature
 from ncrw.kernels import (KernelSpec, StationarySpec, lattice_kernel_remainder,
                           sine_kernel)
@@ -111,7 +112,8 @@ class TestRelaxationSweep:
 
     def test_sweep_matches_cells_one_at_a_time(self):
         # one batch over every cell against one values call per cell
-        for lat, dt in ((LAT2, 0.0), (LAT2, -0.5), (LatticeSpec(3), 1.0)):
+        for lat, dt in ((LAT2, 0.0), (LAT2, -0.5), (LatticeSpec(3), 1.0),
+                        (LatticeSpec(6), 0.3), (LatticeSpec(9), -2.25)):
             disp = [(dt, dx) for dx in range(-2, 5)]
             taus = (0.5, 2.0, 8.0, 12.0, 32.0)
             report = relaxation_sweep(lat, disp, taus)
@@ -120,12 +122,39 @@ class TestRelaxationSweep:
                     s, t = tau + max(-dt, 0.0), tau + max(dt, 0.0)
                     want = kernel_value(lat, (s, 0), (t, dx))
                     assert report.lattice_values[i, j] == pytest.approx(
-                        want, abs=1e-12)
+                        want, abs=1e-15)
             for j, (_, dx) in enumerate(disp):
                 want = KernelSpec(StationarySpec(1.0 / lat.a)).values(
                     [(max(-dt, 0.0), 0)], [(max(dt, 0.0), dx)])[0]
                 assert report.stationary_values[j] == pytest.approx(
-                    want, abs=1e-12)
+                    want, abs=1e-15)
+
+    @pytest.mark.parametrize("taus", [(4.0,), (0.5, 1, 2, 4, 8, 16, 32)])
+    def test_band_and_remainder_integrated_once(self, monkeypatch, taus):
+        # the principal band is the stationary kernel, so a sweep makes one
+        # band call however many taus it has, and one remainder batch
+        calls = dict.fromkeys(("_stationary_bands", "_lattice_sums"), 0)
+        for name in calls:
+            def counted(*args, _f=getattr(kernels, name), _name=name, **kw):
+                calls[_name] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(kernels, name, counted)
+        relaxation_sweep(LatticeSpec(3), [(0.5, dx) for dx in range(-2, 5)],
+                         taus)
+        assert calls == {"_stationary_bands": 1, "_lattice_sums": 1}
+
+    @pytest.mark.parametrize("a,dt", [(2, 0.5), (5, -1.0), (6, 0.0)])
+    def test_lattice_values_are_stationary_plus_remainder(self, a, dt):
+        lat = LatticeSpec(a)
+        dx = np.arange(-2, 7)
+        tau = np.array([0.0, 3.0, 16.0])[:, None]
+        report = relaxation_sweep(lat, [(dt, v) for v in dx], tau.ravel())
+        rem = lattice_kernel_remainder(lat, tau + max(-dt, 0.0), 0,
+                                       tau + max(dt, 0.0), dx)
+        assert np.array_equal(report.lattice_values,
+                              report.stationary_values + rem)
+        assert np.array_equal(report.gaps, np.abs(
+            report.lattice_values - report.stationary_values))
 
 
 class TestStationaryRewrite:
