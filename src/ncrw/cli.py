@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -242,7 +243,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     analytic = correlation_function(KernelSpec(config), pts,
                                     tol=cfg.tol_quad)
     z = (result.mean - analytic) / result.std_error \
-        if result.std_error > 0 else None
+        if 0 < result.std_error < math.inf else None
     doc = {
         "config": list(sites),
         "estimator": args.estimator,
@@ -306,9 +307,11 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # Building the parser costs a large share of a small request, and
-    # parse_args leaves it unchanged, so one instance serves every call.
+def _parser() -> tuple[argparse.ArgumentParser,
+                       dict[str, argparse.ArgumentParser]]:
+    # The full parser and each subcommand's own parser, by name.  Building
+    # them costs a large share of a small request, and parse_args leaves
+    # them unchanged, so one instance serves every call.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-quad", dest="tol_quad", type=float,
                         default=None,
@@ -384,7 +387,7 @@ def _parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", parents=[common],
                         help="run the numerical acceptance checks")
     st.set_defaults(handler=_cmd_selftest)
-    return parser
+    return parser, sub.choices
 
 
 # options whose values may start with '-' (ranges, point lists, site lists);
@@ -408,8 +411,16 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(_normalize_argv(
-        sys.argv[1:] if argv is None else list(argv)))
+    argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
+    parser, commands = _parser()
+    # A request that names a subcommand is parsed once, by that
+    # subcommand's parser.  Everything else (help, an unknown command,
+    # arguments it leaves over) goes through the full parser, whose usage
+    # messages and exit codes are those of a single full parse.
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
         return args.handler(args, cfg)

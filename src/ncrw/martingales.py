@@ -161,24 +161,26 @@ def _series_weights(n_sites: int, t: float) -> np.ndarray:
 
 def _basis_taylor_rows(config: FiniteConfiguration,
                        ys: np.ndarray) -> np.ndarray:
-    # Entry [i, k] holds the Taylor coefficients in h of Phi^{u_k}(ys[i] + h),
-    # lowest power first: the product over j != k of (y - u_j + h) / (u_k -
-    # u_j), built one factor j at a time for every y and k at once.  Dividing
-    # each factor as it is applied keeps wide configurations clear of
-    # overflow, and the row at a site stays an exact Kronecker row.
+    # Entry [p, i, k] holds the coefficient of h^p in Phi^{u_k}(ys[i] + h):
+    # the product over j != k of (y - u_j + h) / (u_k - u_j), built one
+    # factor j at a time for every y and k at once.  The layout is
+    # power-major, (power, y, k), so each factor step multiplies and adds
+    # whole contiguous (y, k) planes.  Dividing each factor as it is applied
+    # keeps wide configurations clear of overflow, and the row at a site
+    # stays an exact Kronecker row.
     u = np.asarray(config.sites, dtype=float)
     n = len(u)
-    gaps = u[:, None] - u[None, :]
+    gaps = u[None, :] - u[:, None]                 # [j, k] = u_k - u_j
     np.fill_diagonal(gaps, np.inf)
     inv = 1.0 / gaps
-    ratio = (ys[:, None] - u[None, :])[:, None, :] / gaps
-    ratio.reshape(len(ys), n * n)[:, ::n + 1] = 1.0
-    coef = np.zeros((len(ys), n, n))
-    coef[:, :, 0] = 1.0
+    ratio = (ys[None, :, None] - u[:, None, None]) / gaps[:, None, :]
+    ratio[np.arange(n), :, np.arange(n)] = 1.0     # [j, i, k], 1 at j = k
+    coef = np.zeros((n, len(ys), n))
+    coef[0] = 1.0
     for j in range(n):
-        shifted = coef[:, :, :-1] * inv[:, j, None]
-        coef *= ratio[:, :, j, None]
-        coef[:, :, 1:] += shifted
+        shifted = coef[:-1] * inv[j]
+        coef *= ratio[j]
+        coef[1:] += shifted
     return coef
 
 
@@ -222,8 +224,11 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
     spreads = np.empty((len(ys), n))
     block = max(1, _ROW_BLOCK_FLOATS // (n * n))
     for lo in range(0, len(ys), block):
-        terms = _basis_taylor_rows(config, ys[lo:lo + block])
-        terms *= weights
+        coef = _basis_taylor_rows(config, ys[lo:lo + block])
+        # weighted into (y, k, power) order: each sum over powers runs along
+        # a contiguous last axis, so its rounding is the same for any layout
+        terms = np.empty(coef.shape[1:] + coef.shape[:1])
+        np.multiply(coef.transpose(1, 2, 0), weights, out=terms)
         rows[lo:lo + block] = terms.sum(axis=-1)
         spreads[lo:lo + block] = np.abs(terms, out=terms).sum(axis=-1)
     return rows, spreads

@@ -88,35 +88,57 @@ class WalkBlock:
         fails; inf if none.
 
         With +-1 steps from a strictly ordered start the first violation
-        is a zero of a neighbour gap.  Jumps are taken in (time, walk)
-        order within each sample; each jump of walk i moves gap i - 1 by
-        +step and gap i by -step, and each gap is a cumulative sum of its
-        own moves.
+        is a zero of a neighbour gap, which takes at least as many moves
+        of that gap as its start width; only samples with such a gap are
+        scanned.  Their jumps are taken in (sample, time, walk) order: one
+        float sort by time, then a stable radix pass on the sample index.
+        Jumps at equal times in one sample are taken in walk order, so if
+        any two jump times are equal the time sort is a stable one over
+        ``owner``, which is walk order within a sample.  Each jump of walk
+        i moves gap i - 1 by +step and gap i by -step; a stable radix pass
+        on the gap index groups those moves by (gap, sample) in time order,
+        and each gap is a cumulative sum of its own moves.
         """
         n_walks = len(self.config)
         exits = np.full(self.n, math.inf)
-        if n_walks == 1 or self.owner.size == 0:
+        # gaps -1 .. N - 1 at index + 1; the padded end gaps take the outer
+        # moves of the end walks, start beyond their reach and never close
+        reach = [self.owner.size + 1]
+        start_gaps = np.concatenate((reach, np.diff(self.config.sites), reach))
+        walk_jumps = np.bincount(self.owner, minlength=self.n * n_walks
+                                 ).reshape(self.n, n_walks)
+        can_close = (walk_jumps[:, :-1] + walk_jumps[:, 1:]
+                     >= start_gaps[1:-1]).any(axis=1)
+        jumps = np.flatnonzero(can_close[self.owner // n_walks])
+        if jumps.size == 0:
             return exits
-        sample, walk = np.divmod(self.owner, n_walks)
-        order = np.lexsort((walk, self.times, sample))
-        sample, walk, steps = sample[order], walk[order], self.steps[order]
-        jump = np.arange(order.size)
-        left, right = walk > 0, walk < n_walks - 1
-        rank = np.concatenate((jump[left], jump[right]))
-        gap = np.concatenate((walk[left] - 1, walk[right]))
-        move = np.concatenate((steps[left], -steps[right]))
-        key = sample[rank] * (n_walks - 1) + gap
-        by_gap = np.argsort(key * order.size + rank)
-        key, rank, move = key[by_gap], rank[by_gap], move[by_gap]
+        times = self.times[jumps]
+        order = np.argsort(times)
+        ordered = times[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(times, kind="stable")
+        sample, walk = np.divmod(self.owner[jumps][order], n_walks)
+        by_sample = np.argsort(sample.astype(np.min_scalar_type(self.n)),
+                               kind="stable")
+        order = order[by_sample]
+        sample, walk = sample[by_sample], walk[by_sample]
+        steps = self.steps[jumps][order]
+        # moves 2k and 2k + 1 are jump k's on gaps walk - 1 and walk
+        gap = np.stack((walk - 1, walk), axis=1).ravel()
+        move = np.stack((steps, -steps), axis=1).ravel()
+        by_gap = np.argsort((gap + 1).astype(np.min_scalar_type(n_walks)),
+                            kind="stable")
+        gap, move = gap[by_gap], move[by_gap]
+        group_sample = sample[by_gap >> 1]
         total = np.cumsum(move)
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        new = np.ones(total.size, dtype=bool)
+        new[1:] = ((gap[1:] != gap[:-1])
+                   | (group_sample[1:] != group_sample[:-1]))
+        first = np.flatnonzero(new)
         before = np.repeat(total[first] - move[first],
-                           np.diff(np.r_[first, key.size]))
-        start_gaps = np.diff(np.asarray(self.config.sites, dtype=np.int64))
-        hit = np.sort(rank[start_gaps[gap[by_gap]] + total - before == 0])
-        hit_sample = sample[hit]
-        earliest = np.diff(hit_sample, prepend=-1) != 0
-        exits[hit_sample[earliest]] = self.times[order][hit[earliest]]
+                           np.diff(first, append=total.size))
+        hit = by_gap[start_gaps[gap + 1] + total - before == 0] >> 1
+        np.minimum.at(exits, sample[hit], times[order][hit])
         return exits
 
 
@@ -191,28 +213,38 @@ class EstimatorResult:
 
 
 class _Moments:
-    """Block-by-block compensated sums of v and v^2."""
+    """Block-by-block compensated sums of v and v^2, and the count of
+    nonzero v."""
 
     def __init__(self):
         self.s1 = 0.0
         self.s2 = 0.0
+        self.nonzero = 0
 
     def add(self, v: np.ndarray) -> None:
-        self.s1 = math.fsum((self.s1, math.fsum(v)))
-        self.s2 = math.fsum((self.s2, math.fsum(v * v)))
+        self.s1 = math.fsum((self.s1, math.fsum(v.tolist())))
+        self.s2 = math.fsum((self.s2, math.fsum((v * v).tolist())))
+        self.nonzero += int(np.count_nonzero(v))
 
-    def result(self, n: int, effective_samples: float) -> EstimatorResult:
+    def result(self, n: int, effective_samples: float,
+               weighted: int) -> EstimatorResult:
+        # with fewer than 2 samples of nonzero weight the sample variance
+        # says nothing: the standard error is inf, never 0
         mean = self.s1 / n
         se = math.sqrt(max(self.s2 - self.s1 * mean, 0.0) / (n - 1) / n) \
-            if n > 1 else math.inf
+            if weighted > 1 else math.inf
         return EstimatorResult(mean, se, n, effective_samples)
 
 
 def _determinant_weight(config: FiniteConfiguration, t: float,
                         positions: np.ndarray) -> np.ndarray:
     """det of the site-martingale rows at the final sites, per sample: one
-    batch of rows over the distinct final sites of the block."""
-    sites = np.unique(positions)
+    batch of rows over the distinct final sites of the block (found by
+    sorting, not np.unique, whose first call imports numpy.ma)."""
+    sites = np.sort(positions, axis=None)
+    new = np.ones(sites.size, dtype=bool)
+    new[1:] = sites[1:] != sites[:-1]
+    sites = sites[new]
     m = site_martingale_rows(config, t, sites)[0][
         np.searchsorted(sites, positions)]
     if m.shape[1] == 1:
@@ -264,7 +296,7 @@ def estimate_many(config: FiniteConfiguration,
         for m, f in zip(moments, functionals):
             m.add(f.evaluate(positions) * w)
     ess = weights.s1 ** 2 / weights.s2 if weights.s2 > 0 else 0.0
-    return [m.result(n_samples, ess) for m in moments]
+    return [m.result(n_samples, ess, weights.nonzero) for m in moments]
 
 
 def absorbed_weight_mean(config: FiniteConfiguration, T: float,
@@ -282,5 +314,5 @@ def absorbed_weight_mean(config: FiniteConfiguration, T: float,
         moments.add(np.where(block.exit_times() <= T,
                              vandermonde_ratio(block.positions(T),
                                                config.sites), 0.0))
-    return moments.result(n_samples, float(n_samples))
+    return moments.result(n_samples, float(n_samples), moments.nonzero)
 

@@ -9,8 +9,10 @@ per distinct (t, y), the lattice kernel by its defining sum
 over initial sites and at 40 digits by its folded form, Karlin-McGregor
 determinants of scipy's ``ive`` for equal-time correlations, a
 jump-chain level simulation for
-exit probabilities, and per-sample walk paths with a jump-by-jump
-exit-time loop as the reference for the block sampler.
+exit probabilities, per-sample walk paths with a jump-by-jump
+exit-time loop as the reference for the block sampler, and the block exit
+scan by one three-key lexsort.  The site-martingale Taylor rows are also
+kept in their (y, k, power) layout, built on strided power slices.
 It also holds small functions the package does not export, kept as
 references for the tests: single transition probabilities, the scalar
 Lagrange basis, signed Bessel values, the characteristic function,
@@ -619,6 +621,73 @@ def ensembles_of_block(block) -> list[WalkEnsemble]:
                                   block.steps[lo:hi][order]))
         out.append(WalkEnsemble(block.config, tuple(paths)))
     return out
+
+
+def exit_times_lexsort(block) -> np.ndarray:
+    """``WalkBlock.exit_times`` by one three-key lexsort of every jump, in
+    (sample, time, walk) order, and one int64 argsort of ``key * M + rank``
+    that groups the gap moves by (sample, gap) in time order."""
+    n_walks = len(block.config)
+    exits = np.full(block.n, math.inf)
+    if n_walks == 1 or block.owner.size == 0:
+        return exits
+    sample, walk = np.divmod(block.owner, n_walks)
+    order = np.lexsort((walk, block.times, sample))
+    sample, walk, steps = sample[order], walk[order], block.steps[order]
+    jump = np.arange(order.size)
+    left, right = walk > 0, walk < n_walks - 1
+    rank = np.concatenate((jump[left], jump[right]))
+    gap = np.concatenate((walk[left] - 1, walk[right]))
+    move = np.concatenate((steps[left], -steps[right]))
+    key = sample[rank] * (n_walks - 1) + gap
+    by_gap = np.argsort(key * order.size + rank)
+    key, rank, move = key[by_gap], rank[by_gap], move[by_gap]
+    total = np.cumsum(move)
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    before = np.repeat(total[first] - move[first],
+                       np.diff(np.r_[first, key.size]))
+    start_gaps = np.diff(np.asarray(block.config.sites, dtype=np.int64))
+    hit = np.sort(rank[start_gaps[gap[by_gap]] + total - before == 0])
+    hit_sample = sample[hit]
+    earliest = np.diff(hit_sample, prepend=-1) != 0
+    exits[hit_sample[earliest]] = block.times[order][hit[earliest]]
+    return exits
+
+
+# ---------------------------------------------------------------------------
+# site-martingale Taylor rows in (y, k, power) layout
+# ---------------------------------------------------------------------------
+
+def basis_taylor_rows_yk(config: FiniteConfiguration,
+                         ys: np.ndarray) -> np.ndarray:
+    """Entry [i, k, p] is the coefficient of h^p in Phi^{u_k}(ys[i] + h),
+    built one factor j at a time on the strided power slices of a (y, k,
+    power) array: the same products and sums as ``_basis_taylor_rows``,
+    whose layout is (power, y, k)."""
+    u = np.asarray(config.sites, dtype=float)
+    n = len(u)
+    gaps = u[:, None] - u[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    inv = 1.0 / gaps
+    ratio = (ys[:, None] - u[None, :])[:, None, :] / gaps
+    ratio.reshape(len(ys), n * n)[:, ::n + 1] = 1.0
+    coef = np.zeros((len(ys), n, n))
+    coef[:, :, 0] = 1.0
+    for j in range(n):
+        shifted = coef[:, :, :-1] * inv[:, j, None]
+        coef *= ratio[:, :, j, None]
+        coef[:, :, 1:] += shifted
+    return coef
+
+
+def site_martingale_rows_yk(config: FiniteConfiguration, t: float, ys
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """``site_martingale_rows`` from ``basis_taylor_rows_yk`` over the whole
+    batch at once: weighted terms summed over the contiguous power axis."""
+    ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+    terms = basis_taylor_rows_yk(config, ys) * _series_weights(len(config),
+                                                               float(t))
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import io
 import json
 import math
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrw.cli import RunConfig, _emit_csv, main
+from ncrw.cli import RunConfig, _emit_csv, _normalize_argv, _parser, main
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
 from ncrw.martingales import FiniteConfiguration, LatticeSpec
@@ -205,6 +208,24 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("ncrw: horizon must be finite and >= 0")
 
+    @pytest.mark.parametrize("argv", [
+        # no path of the 320 survives to T = 8
+        ["--config=0,1,2,3", "--T", "8", "--samples", "320",
+         "--estimator", "h", "--at=8:0,1", "--seed", "3"],
+        ["--config=0,2", "--T", "1", "--samples", "1", "--estimator", "dmr",
+         "--at=1:0"],
+    ])
+    def test_untrusted_error_bar_has_no_z_score(self, argv):
+        code, out = run_cli(["simulate", *argv])
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc, "simulate.json")
+        assert doc["std_error"] == math.inf
+        assert doc["z_score"] is None
+        code, out = run_cli(["simulate", *argv, "--output", "csv"])
+        fields = out.splitlines()[1].split(",")
+        assert (code, fields[1], fields[4]) == (0, "inf", "nan")
+
     def test_at_beyond_horizon_usage_error(self):
         code, _ = run_cli(["simulate", "--config", "0,2", "--T", "0.4",
                            "--at", "0.5:0", "--estimator", "h",
@@ -309,6 +330,89 @@ class TestGlobalBehavior:
         assert code == 2
 
 
+def outcome(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+SIMULATE = ["simulate", "--config=0,2", "--T", "1", "--estimator", "h",
+            "--at=0.5:0"]
+
+
+class TestParsing:
+    """A request naming a subcommand is parsed once, by its own parser; the
+    outcome is that of a single full parse."""
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (SIMULATE + ["--samples", "10", "--bogus"], 2,
+         "ncrw: error: unrecognized arguments: --bogus\n"),
+        (["kernel", "--spec", "lattice:2", "--point", "0,0", "extra"], 2,
+         "ncrw: error: unrecognized arguments: extra\n"),
+        (SIMULATE, 2, "ncrw simulate: error: the following arguments are "
+                      "required: --samples\n"),
+        (SIMULATE + ["--samples", "ten"], 2,
+         "ncrw simulate: error: argument --samples: invalid int value: "
+         "'ten'\n"),
+        (["frobnicate"], 2,
+         "ncrw: error: argument command: invalid choice: 'frobnicate'"),
+        ([], 2, "ncrw: error: the following arguments are required: "
+                "command\n"),
+        (["--help"], 0, "usage: ncrw [-h] {kernel,density,correlation,"),
+        (["simulate", "--help"], 0, "usage: ncrw simulate [-h] "),
+    ], ids=["unknown-option", "leftover", "missing-flag", "bad-value",
+            "unknown-command", "no-command", "help", "simulate-help"])
+    def test_usage_outcome_is_a_full_parse(self, argv, code, text):
+        # errors go to stderr, help to stdout, never both
+        got = outcome(main, argv)
+        assert got == outcome(_parser()[0].parse_args, _normalize_argv(argv))
+        assert got[0] == code
+        assert text in got[2 if code else 1] and not got[1 if code else 2]
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--spec", "lattice:2", "--grid", "0.5,-1:1,1.25,0:2"],
+        ["kernel", "--spec", "stationary:0.5", "--dt", "-1", "--dx", "2",
+         "--output", "json"],
+        ["density", "--spec", "finite:0,2,5", "--t", "1.5", "--window",
+         "-2:7", "--tol-quad", "1e-12"],
+        ["correlation", "--spec", "finite:0,1,3", "--at", "0.5:0,1",
+         "--at", "1.0:2", "--output", "csv"],
+        SIMULATE + ["--samples", "64", "--seed", "3", "--threads", "2",
+                    "--at", "0.75:2"],
+        ["relaxation", "--a", "5", "--dx-max", "3", "--tau", "0.5,4,16"],
+        ["selftest", "--out", "report.txt"],
+    ])
+    def test_namespace_matches_full_parse(self, argv):
+        argv = _normalize_argv(argv)
+        parser, commands = _parser()
+        direct, rest = commands[argv[0]].parse_known_args(argv[1:])
+        assert rest == []
+        assert vars(parser.parse_args(argv)) == {**vars(direct),
+                                                 "command": argv[0]}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config=0,2,5", "--T", "1", "--samples", "50",
+         "--estimator", "dmr", "--at=0.5:0"],
+        ["density", "--spec", "finite:0,2,5", "--t", "1", "--window=-3:8"],
+    ])
+    def test_requests_leave_numpy_ma_unimported(self, argv):
+        # np.unique imports numpy.ma on its first call (about 1 MB of RSS)
+        env = {**os.environ, "PYTHONPATH": str(SCHEMA_DIR.parents[1])}
+        code = ("import io, sys, contextlib\n"
+                "from ncrw.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = main(sys.argv[1:])\n"
+                "print(rc, 'numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout == "0 False\n", done.stderr
+
+
 class TestSelftestCommand:
     def test_prints_line_per_check(self, tmp_path):
         target = tmp_path / "selftest.txt"
@@ -409,6 +513,51 @@ GOLDEN = [
 ]
 
 
+# Exact standard output of simulate requests, recorded before the exit scan
+# was radix-ordered and the Taylor rows were laid out power-major: N = 2, 3
+# and 5 for each estimator at 320 samples, and 4096 samples (two blocks).
+# Any change to the sample stream or to the rounding shows here.
+SIMULATE_GOLDEN = [
+    (["--config=0,2", "--T", "1", "--samples", "320",
+      "--estimator", "h", "--at", "0.5:0", "--seed", "11"],
+     "0.67031249999999998,0.037879217482216378,"
+     "229.13027989821882,0.64503527044914999,"
+     "0.66731129181106241\n"),
+    (["--config=0,2", "--T", "1", "--samples", "320",
+      "--estimator", "dmr", "--at", "0.5:0", "--seed", "11"],
+     "0.6796875,0.037808030708178446,"
+     "243.29692154915591,0.64503527044914999,"
+     "0.91653093011676523\n"),
+    (["--config=-1,1,4", "--T", "1.5", "--samples", "320",
+      "--estimator", "h", "--at", "0.75:1,4", "--seed", "12"],
+     "0.29375000000000001,0.039658057939857924,"
+     "107.39161366226699,0.31340207274316961,"
+     "-0.49553795026907982\n"),
+    (["--config=-1,1,4", "--T", "1.5", "--samples", "320",
+      "--estimator", "dmr", "--at", "0.75:1,4", "--seed", "12"],
+     "0.28354166666666664,0.041087668287789363,"
+     "133.68529661360276,0.31340207274316961,"
+     "-0.72674861633306753\n"),
+    (["--config=-3,0,1,4,6", "--T", "0.75", "--samples", "320",
+      "--estimator", "h", "--at", "0.25:0,1", "--at", "0.5:4",
+      "--seed", "13"],
+     "0.39684027777777775,0.066527699100695614,"
+     "61.477469371268491,0.47488451459102426,"
+     "-1.1731089135537303\n"),
+    (["--config=-3,0,1,4,6", "--T", "0.75", "--samples", "320",
+      "--estimator", "dmr", "--at", "0.25:0,1", "--at", "0.5:4",
+      "--seed", "13"],
+     "0.39400628306878305,0.068388770303376922,"
+     "83.529451259006549,0.47488451459102426,"
+     "-1.182624444970428\n"),
+    (["--config=-1,1,4", "--T", "1", "--samples", "4096",
+      "--estimator", "h", "--at", "0.5:1,4", "--seed", "5"],
+     "0.42281901041666664,0.011516335742747966,"
+     "2005.462328529286,0.43624857643988613,"
+     "-1.1661318602730311\n"),
+]
+
+
 class TestOutputBytes:
     @settings(max_examples=300, deadline=None)
     @given(table=csv_tables())
@@ -426,3 +575,10 @@ class TestOutputBytes:
                              ids=[" ".join(a[:1] + a[-2:]) for a, _ in GOLDEN])
     def test_golden_output(self, argv, want):
         assert run_cli(argv) == (0, want)
+
+    @pytest.mark.parametrize("argv,want", SIMULATE_GOLDEN,
+                             ids=[f"{a[0]} {a[6]} n={a[4]}"
+                                  for a, _ in SIMULATE_GOLDEN])
+    def test_simulate_golden_output(self, argv, want):
+        assert run_cli(["simulate", *argv, "--output", "csv"]) == (
+            0, "estimate,std_error,ess,analytic_value,z_score\n" + want)

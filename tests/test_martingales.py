@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
-                              LatticeSpec, _series_weights,
-                              martingale_coefficients, martingale_polynomial,
-                              site_martingale_rows)
+                              LatticeSpec, _basis_taylor_rows,
+                              _series_weights, martingale_coefficients,
+                              martingale_polynomial, site_martingale_rows)
 from ncrw.montecarlo import vandermonde_ratio
 from oracles import (backward_transform, backward_transform_exp,
-                     esscher_weight, lagrange_basis, lattice_basis,
-                     lattice_martingale_batch, ring_site_martingale_row,
-                     site_martingale_row_loop)
+                     basis_taylor_rows_yk, esscher_weight, lagrange_basis,
+                     lattice_basis, lattice_martingale_batch,
+                     ring_site_martingale_row, site_martingale_row_loop,
+                     site_martingale_rows_yk)
 
 
 def transition_weights(t, center, radius):
@@ -327,6 +330,30 @@ class TestSiteMartingaleBatch:
                 row, spread = site_martingale_row_loop(c, t, y)
                 assert np.array_equal(rows[i], row)
                 assert np.array_equal(spreads[i], spread)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 21), data=st.data(),
+           t=st.sampled_from((0.0, 0.25, 0.5, 2.0, 14.0)))
+    def test_power_major_rows_match_y_major_oracle(self, n, data, t):
+        # the (power, y, k) Taylor rows against the (y, k, power) ones, and
+        # the blocked rows and spreads against one unblocked batch; the ys
+        # span up to three row blocks and hit the sites
+        gaps = data.draw(st.lists(st.integers(1, 6), min_size=n - 1,
+                                  max_size=n - 1))
+        sites = tuple(np.cumsum([-10, *gaps]).tolist())
+        block = max(1, _ROW_BLOCK_FLOATS // (n * n))
+        count = data.draw(st.integers(0, min(3 * block + 1, 400)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        ys = rng.integers(sites[0] - 20, sites[-1] + 21, size=count)
+        c = FiniteConfiguration(sites)
+        got = _basis_taylor_rows(c, ys).transpose(1, 2, 0)
+        want = basis_taylor_rows_yk(c, ys)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for got, want in zip(site_martingale_rows(c, t, ys),
+                             site_martingale_rows_yk(c, t, ys)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_empty_batch(self):
         rows, spreads = site_martingale_rows(FiniteConfiguration((0, 3)),

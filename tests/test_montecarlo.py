@@ -1,7 +1,11 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrw import montecarlo
 from ncrw.bessel import scaled_bessel_i_all
@@ -13,7 +17,8 @@ from ncrw.montecarlo import (BLOCK_SIZE, OccupationProduct, One, WalkBlock,
                              vandermonde_ratio)
 
 from oracles import (WalkPath, ensembles_of_block, exit_time,
-                     sample_ensemble, site_martingale_row_loop,
+                     exit_times_lexsort, sample_ensemble,
+                     site_martingale_row_loop,
                      survival_probability_jump_chain)
 
 XI = FiniteConfiguration((0, 2))
@@ -163,6 +168,50 @@ class TestBlockMatchesOracle:
         np.testing.assert_array_equal(blocks[1].times, again.times)
 
 
+@st.composite
+def walk_blocks(draw, max_gap=12, tied=False):
+    """A sampled block: N from 1 to 8, n up to BLOCK_SIZE, T in {0, 0.3, 1,
+    2, 5}; with ``tied``, jump times rounded up to a 1/4 grid (capped at the
+    horizon), so that equal (sample, time) pairs are common."""
+    n_walks = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.integers(1, max_gap), min_size=n_walks - 1,
+                         max_size=n_walks - 1))
+    start = draw(st.integers(-6, 6))
+    sites = tuple(start + g for g in itertools.accumulate([0, *gaps]))
+    horizon = draw(st.sampled_from((0.0, 0.3, 1.0, 2.0, 5.0)))
+    n = draw(st.integers(1, BLOCK_SIZE))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = WalkBlock.sample(FiniteConfiguration(sites), horizon, n, rng)
+    if tied:
+        block = dataclasses.replace(
+            block, times=np.minimum(np.ceil(block.times * 4) / 4, horizon))
+    return block
+
+
+class TestExitScanMatchesLexsort:
+    """The radix-ordered exit scan against the three-key lexsort scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=walk_blocks())
+    def test_random_blocks(self, block):
+        assert np.array_equal(block.exit_times(), exit_times_lexsort(block))
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=walk_blocks(max_gap=3, tied=True))
+    def test_tied_blocks(self, block):
+        assert np.array_equal(block.exit_times(), exit_times_lexsort(block))
+
+    def test_tied_block_has_ties_and_exits(self):
+        config = FiniteConfiguration((0, 1, 3, 4))
+        block = WalkBlock.sample(config, 2.0, 500, np.random.default_rng(4))
+        block = dataclasses.replace(block, times=np.ceil(block.times * 4) / 4)
+        key = block.owner // len(config) * 100 + block.times * 4
+        assert np.unique(key).size < key.size
+        exits = block.exit_times()
+        assert 0 < np.isfinite(exits).sum() < block.n
+        assert np.array_equal(exits, exit_times_lexsort(block))
+
+
 class TestEstimators:
     def test_h_normalization(self):
         r = h_estimate(One(), 1.0, 30_000, 7)
@@ -253,6 +302,32 @@ class TestDeterminantWeight:
         monkeypatch.setattr(montecarlo, "site_martingale_rows", oracle_rows)
         assert got == estimate_many(config, functionals, T,
                                     BLOCK_SIZE + 100, seed, "dmr")
+
+
+class TestErrorBar:
+    """Fewer than 2 samples of nonzero weight give an infinite error bar."""
+
+    def test_no_survivor(self):
+        # (0, 1, 2, 3) up to T = 8: no path of these 320 survives
+        config = FiniteConfiguration((0, 1, 2, 3))
+        r = estimate_many(config, [OccupationProduct(pts((8.0, (0, 1))))],
+                          8.0, 320, 3, "h")[0]
+        assert (r.mean, r.std_error, r.effective_samples) == (0.0, math.inf,
+                                                              0.0)
+
+    def test_one_survivor(self):
+        config = FiniteConfiguration((0, 1, 2, 3))
+        r = estimate_many(config, [One()], 8.0, 320, 0, "h")[0]
+        assert r.mean > 0 and r.effective_samples == 1.0
+        assert r.std_error == math.inf
+
+    def test_single_sample(self):
+        r = dmr_estimate(One(), 1.0, 1, 0)
+        assert r.std_error == math.inf
+
+    def test_two_weighted_samples_give_a_finite_error(self):
+        r = h_estimate(One(), 0.0, 2, 0)
+        assert (r.mean, r.std_error) == (1.0, 0.0)
 
 
 class TestReproducibility:
