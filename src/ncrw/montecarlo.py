@@ -90,55 +90,43 @@ class WalkBlock:
         With +-1 steps from a strictly ordered start the first violation
         is a zero of a neighbour gap, which takes at least as many moves
         of that gap as its start width; only samples with such a gap are
-        scanned.  Their jumps are taken in (sample, time, walk) order: one
-        float sort by time, then a stable radix pass on the sample index.
-        Jumps at equal times in one sample are taken in walk order, so if
-        any two jump times are equal the time sort is a stable one over
-        ``owner``, which is walk order within a sample.  Each jump of walk
-        i moves gap i - 1 by +step and gap i by -step; a stable radix pass
-        on the gap index groups those moves by (gap, sample) in time order,
-        and each gap is a cumulative sum of its own moves.
+        scanned.  Their jumps are taken in (sample, time, walk) order, so
+        jumps at equal times in one sample go in walk order.  Each jump of
+        walk i moves gap i - 1 by +step and gap i by -step; the moves are
+        grouped by (sample, gap) in time order, and each gap is a
+        cumulative sum of its own moves.
         """
         n_walks = len(self.config)
         exits = np.full(self.n, math.inf)
-        # gaps -1 .. N - 1 at index + 1; the padded end gaps take the outer
-        # moves of the end walks, start beyond their reach and never close
-        reach = [self.owner.size + 1]
-        start_gaps = np.concatenate((reach, np.diff(self.config.sites), reach))
+        start_gaps = np.diff(np.asarray(self.config.sites, dtype=np.int64))
         walk_jumps = np.bincount(self.owner, minlength=self.n * n_walks
                                  ).reshape(self.n, n_walks)
         can_close = (walk_jumps[:, :-1] + walk_jumps[:, 1:]
-                     >= start_gaps[1:-1]).any(axis=1)
+                     >= start_gaps).any(axis=1)
         jumps = np.flatnonzero(can_close[self.owner // n_walks])
         if jumps.size == 0:
             return exits
+        sample, walk = np.divmod(self.owner[jumps], n_walks)
         times = self.times[jumps]
-        order = np.argsort(times)
-        ordered = times[order]
-        if (ordered[1:] == ordered[:-1]).any():
-            order = np.argsort(times, kind="stable")
-        sample, walk = np.divmod(self.owner[jumps][order], n_walks)
-        by_sample = np.argsort(sample.astype(np.min_scalar_type(self.n)),
-                               kind="stable")
-        order = order[by_sample]
-        sample, walk = sample[by_sample], walk[by_sample]
-        steps = self.steps[jumps][order]
-        # moves 2k and 2k + 1 are jump k's on gaps walk - 1 and walk
-        gap = np.stack((walk - 1, walk), axis=1).ravel()
-        move = np.stack((steps, -steps), axis=1).ravel()
-        by_gap = np.argsort((gap + 1).astype(np.min_scalar_type(n_walks)),
-                            kind="stable")
-        gap, move = gap[by_gap], move[by_gap]
-        group_sample = sample[by_gap >> 1]
+        order = np.lexsort((walk, times, sample))
+        sample, walk = sample[order], walk[order]
+        times, steps = times[order], self.steps[jumps][order]
+        jump = np.arange(order.size)
+        left, right = walk > 0, walk < n_walks - 1
+        rank = np.concatenate((jump[left], jump[right]))
+        gap = np.concatenate((walk[left] - 1, walk[right]))
+        move = np.concatenate((steps[left], -steps[right]))
+        key = sample[rank] * (n_walks - 1) + gap
+        by_gap = np.argsort(key * order.size + rank)
+        key, rank, move = key[by_gap], rank[by_gap], move[by_gap]
         total = np.cumsum(move)
-        new = np.ones(total.size, dtype=bool)
-        new[1:] = ((gap[1:] != gap[:-1])
-                   | (group_sample[1:] != group_sample[:-1]))
-        first = np.flatnonzero(new)
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         before = np.repeat(total[first] - move[first],
-                           np.diff(first, append=total.size))
-        hit = by_gap[start_gaps[gap + 1] + total - before == 0] >> 1
-        np.minimum.at(exits, sample[hit], times[order][hit])
+                           np.diff(np.r_[first, key.size]))
+        hit = np.sort(rank[start_gaps[gap[by_gap]] + total - before == 0])
+        hit_sample = sample[hit]
+        earliest = np.diff(hit_sample, prepend=-1) != 0
+        exits[hit_sample[earliest]] = times[hit[earliest]]
         return exits
 
 
@@ -213,18 +201,15 @@ class EstimatorResult:
 
 
 class _Moments:
-    """Block-by-block compensated sums of v and v^2, and the count of
-    nonzero v."""
+    """Block-by-block compensated sums of v and v^2."""
 
     def __init__(self):
         self.s1 = 0.0
         self.s2 = 0.0
-        self.nonzero = 0
 
     def add(self, v: np.ndarray) -> None:
         self.s1 = math.fsum((self.s1, math.fsum(v.tolist())))
         self.s2 = math.fsum((self.s2, math.fsum((v * v).tolist())))
-        self.nonzero += int(np.count_nonzero(v))
 
     def result(self, n: int, effective_samples: float,
                weighted: int) -> EstimatorResult:
@@ -283,6 +268,7 @@ def estimate_many(config: FiniteConfiguration,
     u = config.sites
     moments = [_Moments() for _ in functionals]
     weights = _Moments()
+    weighted = 0
     for block in WalkBlock.sweep(config, T, n_samples, seed):
         final = block.positions(T)
         if estimator == "h":
@@ -291,12 +277,13 @@ def estimate_many(config: FiniteConfiguration,
         else:
             w = _determinant_weight(config, T, final)
         weights.add(np.abs(w))
+        weighted += int(np.count_nonzero(w))
         positions = {t: final if t == T else block.positions(t)
                      for t in (*query_times, T)}
         for m, f in zip(moments, functionals):
             m.add(f.evaluate(positions) * w)
     ess = weights.s1 ** 2 / weights.s2 if weights.s2 > 0 else 0.0
-    return [m.result(n_samples, ess, weights.nonzero) for m in moments]
+    return [m.result(n_samples, ess, weighted) for m in moments]
 
 
 def absorbed_weight_mean(config: FiniteConfiguration, T: float,
@@ -310,9 +297,11 @@ def absorbed_weight_mean(config: FiniteConfiguration, T: float,
     _validate(n_samples, seed)
     T = float(T)
     moments = _Moments()
+    weighted = 0
     for block in WalkBlock.sweep(config, T, n_samples, seed):
-        moments.add(np.where(block.exit_times() <= T,
-                             vandermonde_ratio(block.positions(T),
-                                               config.sites), 0.0))
-    return moments.result(n_samples, float(n_samples), moments.nonzero)
+        w = np.where(block.exit_times() <= T,
+                     vandermonde_ratio(block.positions(T), config.sites), 0.0)
+        moments.add(w)
+        weighted += int(np.count_nonzero(w))
+    return moments.result(n_samples, float(n_samples), weighted)
 

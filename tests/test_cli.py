@@ -514,9 +514,10 @@ GOLDEN = [
 
 
 # Exact standard output of simulate requests, recorded before the exit scan
-# was radix-ordered and the Taylor rows were laid out power-major: N = 2, 3
-# and 5 for each estimator at 320 samples, and 4096 samples (two blocks).
-# Any change to the sample stream or to the rounding shows here.
+# skipped samples that cannot exit and the Taylor rows were laid out
+# power-major: N = 2, 3 and 5 for each estimator at 320 samples, and 4096
+# samples (two blocks).  Any change to the sample stream or to the rounding
+# shows here.
 SIMULATE_GOLDEN = [
     (["--config=0,2", "--T", "1", "--samples", "320",
       "--estimator", "h", "--at", "0.5:0", "--seed", "11"],

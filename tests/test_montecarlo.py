@@ -189,7 +189,8 @@ def walk_blocks(draw, max_gap=12, tied=False):
 
 
 class TestExitScanMatchesLexsort:
-    """The radix-ordered exit scan against the three-key lexsort scan."""
+    """The exit scan, which skips samples in which no gap can close,
+    against the lexsort scan of every jump."""
 
     @settings(max_examples=60, deadline=None)
     @given(block=walk_blocks())
