@@ -74,8 +74,8 @@ def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]], *,
     """
     n = len(points)
     pts = np.asarray(points, dtype=float).reshape(n, 2)
-    return spec._evaluate(np.repeat(pts, n, axis=0), np.tile(pts, (n, 1)),
-                          True, tol).reshape(n, n)
+    return spec._evaluate(pts, pts, np.divmod(np.arange(n * n), n),
+                          tol).reshape(n, n)
 
 
 def correlation_from_points(spec: KernelSpec,
@@ -108,7 +108,8 @@ def density_profile(spec: KernelSpec, t: float, window: Sequence[int], *,
     be refused by the finite kernel's rounding guard when the diagonal is
     accurate.
     """
-    pts = [(t, x) for x in window]
+    pts = np.empty((len(window), 2))
+    pts[:, 0], pts[:, 1] = t, window
     return spec.values(pts, pts, tol=tol)
 
 

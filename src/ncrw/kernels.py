@@ -10,8 +10,9 @@ One interface, ``KernelSpec``, tags three kernels with a gauge:
 ``KernelSpec.values(ps, qs)`` is the only evaluation: it returns
 K(ps[i], qs[i]) for a whole batch of point pairs, sharing Bessel tables,
 site-martingale rows and momentum quadratures between the entries.
-``kernel_matrix`` takes the same route and differs only in how the finite
-kernel's rounding guard judges the batch: as one matrix, after balancing.
+``kernel_matrix`` takes the same route on its n points and the n^2 pair
+indices, and differs only in how the finite kernel's rounding guard judges
+the batch: as one matrix, after balancing.
 
 Each kernel is defined up to a gauge: multiplying K(s,x;t,y) by
 f(t,y)/f(s,x) changes no correlation determinant.  Two conventions are
@@ -66,7 +67,7 @@ def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
     bad = ~(np.isfinite(t) & (t >= 0))
     if bad.any():
         raise ValueError(f"time coordinate must be finite and >= 0, got {t[bad][0]}")
-    bad = ~np.isfinite(x) | (x != np.round(x))
+    bad = ~np.isfinite(x) | (x != x.round())
     if bad.any():
         raise ValueError(f"space coordinate must be an integer, got {x[bad][0]}")
     return t, x.astype(np.int64)
@@ -87,12 +88,13 @@ def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     # column leads), and for every row the index of its distinct row; by
     # sorting, not np.unique, whose first call imports numpy.ma (~1 MB of RSS)
     order = np.lexsort(columns) if len(columns) > 1 else \
-        np.argsort(columns[0], kind="stable")
+        columns[0].argsort(kind="stable")
     cols = [c[order] for c in columns]
-    new = np.ones(len(order), dtype=bool)
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
     new[1:] = reduce(np.logical_or, [c[1:] != c[:-1] for c in cols])
     inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    inverse[order] = new.cumsum() - 1
     return [c[new] for c in cols], inverse
 
 
@@ -111,22 +113,26 @@ def _bessel_rows(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
 # finite configurations
 # ---------------------------------------------------------------------------
 
-def _finite_sums(config: FiniteConfiguration, s, x, t, y
+def _finite_sums(config: FiniteConfiguration, s, x, t, y, i, j
                  ) -> tuple[np.ndarray, np.ndarray]:
-    # sum_j p(s, x|u_j) M_j(t, y) - 1(s>t) p(s-t, x|y) per entry, with an
+    # sum_k p(s, x|u_k) M_k(t, y) - 1(s>t) p(s-t, x|y) for every entry
+    # (s, x)[i], (t, y)[j] of the index arrays (or slices) i, j, with an
     # estimate of its rounding error: one Bessel table per distinct s and one
     # site_martingale_rows call per distinct t, over that t's distinct ys.
     # spread[k] is the sum of absolute series terms of M_k, so
     # eps * sum_k p(s, x|u_k) spread_k estimates the rounding error of each
     # entry (the "bound" B the guard judges).
-    weights = _bessel_rows(s, np.abs(x[:, None] - np.asarray(config.sites)))
+    weights = _bessel_rows(s, np.abs(x[:, None] - np.asarray(config.sites)))[i]
     (yk, tk), inverse = _distinct(y, t)
-    (tu,), of_t = _distinct(tk)
     rows, spreads = np.empty((2, len(yk), len(config)))
-    for k, tv in enumerate(tu.tolist()):
-        idx = of_t == k
-        rows[idx], spreads[idx] = site_martingale_rows(config, tv, yk[idx])
+    # the keys are sorted by t: each distinct t is one slice of them
+    cuts = [0, *(np.flatnonzero(tk[1:] != tk[:-1]) + 1).tolist(), len(tk)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows[lo:hi], spreads[lo:hi] = site_martingale_rows(
+            config, float(tk[lo]), yk[lo:hi])
+    inverse = inverse[j]
     out = np.einsum("ij,ij->i", weights, rows[inverse])
+    s, x, t, y = s[i], x[i], t[j], y[j]
     back = s > t
     if back.any():
         out[back] -= _bessel_rows(s[back] - t[back], np.abs(x[back] - y[back]))
@@ -269,26 +275,25 @@ def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x, t: float, y,
 
 def _stationary_bands(rho: float, dt, dx, *, tol: float) -> np.ndarray:
     # The prob-gauge stationary kernel, backward term included, one vector
-    # quadrature per distinct dt: int_0^rho cos(u*pi*dx) exp(dt*(1 -
-    # cos(u*pi))) du for dt > 0, minus the same over [rho, 1] for dt < 0
-    # (not int_0^rho - p(-dt, dx), which cancels two terms of size
-    # ~1/sqrt(|dt|) down to one of size ~e^{-|dt|}); sine kernel at dt = 0.
-    (dk,), inverse = _distinct(dt)
-    out = np.empty(len(dt))
-    for k, dtv in enumerate(dk.tolist()):
-        idx = inverse == k
-        n = dx[idx]
-        if dtv == 0.0:
-            out[idx] = [sine_kernel(rho, v) for v in n.tolist()]
-            continue
+    # quadrature per band over the distinct (dt, dx) columns of the batch:
+    # int_0^rho cos(u*pi*dx) exp(dt*(1 - cos(u*pi))) du for dt > 0, minus
+    # the same over [rho, 1] for dt < 0 (not int_0^rho - p(-dt, dx), which
+    # cancels two terms of size ~1/sqrt(|dt|) down to one of size
+    # ~e^{-|dt|}); sine kernel at dt = 0.
+    (n, d), inverse = _distinct(dx, dt)
+    # the columns are sorted by dt: dt < 0, then dt = 0, then dt > 0
+    neg, pos = d.searchsorted(0.0), d.searchsorted(0.0, "right")
+    out = np.empty(len(d))
+    out[neg:pos] = [sine_kernel(rho, v) for v in n[neg:pos].tolist()]
+    for first, stop, lo, hi, sign in ((pos, len(d), 0.0, rho, 1.0),
+                                      (0, neg, rho, 1.0, -1.0)):
+        if stop > first:
+            def integrand(u, dv=d[first:stop], nv=n[first:stop]):
+                u = u[:, None]
+                return np.cos(u * math.pi * nv) * np.exp(dv * (1.0 - np.cos(u * math.pi)))
 
-        def integrand(u, dtv=dtv, n=n):
-            u = u[:, None]
-            return np.cos(u * math.pi * n) * np.exp(dtv * (1.0 - np.cos(u * math.pi)))
-
-        lo, hi, sign = (0.0, rho, 1.0) if dtv > 0 else (rho, 1.0, -1.0)
-        out[idx] = sign * gauss_legendre(integrand, lo, hi, tol=tol)
-    return out
+            out[first:stop] = sign * gauss_legendre(integrand, lo, hi, tol=tol)
+    return out[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -340,44 +345,53 @@ class KernelSpec:
         tolerance.  The "paper" gauge multiplies by e^{s-t}.  Work shared
         between entries (Bessel tables, martingale rows, quadratures) is
         done once per batch, so callers pass every entry they need at once.
+        Each band (s < t, s > t) is one quadrature over its distinct
+        (t - s, y - x) columns: equal columns give equal values, and it
+        runs to its slowest column, judged against its largest.
 
         The quadratures stop at 2048 nodes and raise ``ConvergenceError``
-        there.  On the lattice, while (t - s)*(1 - cos(pi/a)) <= 3, that
-        happens only beyond |y - x| of about 615*a for s <= t: 1228 is
-        accepted on a = 2, 1844 on a = 3 and 3076 on a = 5 (scanned in
-        steps of 4 at s, t in {0, 1, 4, 8, 16}), and the first refusals lie
-        at 1232-1408, 1848-1936 and 3080-3136.  For s > t the band over
-        [1/a, 1] also bounds it, near |y - x| = 1240*a/(a - 1): the first
-        refusals lie at 1236-1564, 1852-1932 and 1548-1596.  Where t - s is
-        larger the integrand grows like exp((t - s)*(1 - cos(pi/a))) while
-        the kernel need not, so wide pairs are refused earlier: on a = 2
-        from |y - x| = 92 at (s, t) = (0, 8).
+        there.  For single pairs on the lattice, while (t - s)*(1 -
+        cos(pi/a)) <= 3, that happens only beyond |y - x| of about 615*a
+        for s <= t: 1228 is accepted on a = 2, 1844 on a = 3 and 3076 on
+        a = 5 (scanned in steps of 4 at s, t in {0, 1, 4, 8, 16}), and the
+        first refusals lie at 1232-1408, 1848-1936 and 3080-3136.  For
+        s > t the band over [1/a, 1] also bounds it, near |y - x| =
+        1240*a/(a - 1): the first refusals lie at 1236-1564, 1852-1932 and
+        1548-1596.  Where t - s is larger the integrand grows like
+        exp((t - s)*(1 - cos(pi/a))) while the kernel need not, so wide
+        pairs are refused earlier: on a = 2 from |y - x| = 92 at (s, t) =
+        (0, 8).
         """
-        return self._evaluate(ps, qs, False, tol)
+        return self._evaluate(ps, qs, None, tol)
 
-    def _evaluate(self, ps, qs, matrix: bool, tol: float) -> np.ndarray:
-        # ``values``; with ``matrix`` the batch is the row-major square
-        # matrix K(p_i, p_j), whose finite rounding guard is judged after
-        # balancing (see _rounding_guard)
+    def _evaluate(self, ps, qs, pairs, tol: float) -> np.ndarray:
+        # ``values`` when pairs is None; otherwise the entries K(ps[i],
+        # qs[j]) of the index arrays (i, j) = pairs, the row-major square
+        # matrix of kernel_matrix, whose finite rounding guard is judged
+        # after balancing (see _rounding_guard).  Validation, Bessel rows
+        # and martingale rows run on the points, not on the entries.
         s, x = _split_points(ps)
-        t, y = _split_points(qs)
-        if len(s) != len(t):
+        t, y = (s, x) if qs is ps else _split_points(qs)
+        i, j = pairs or (slice(None), slice(None))
+        if len(s[i]) != len(t[j]):
             raise ValueError(f"got {len(s)} first points, {len(t)} second")
         if not len(s):
             return np.zeros(0)
         variant = self.variant
         if isinstance(variant, FiniteConfiguration):
-            out, bound = _finite_sums(variant, s, x, t, y)
-            _rounding_guard(variant, out, bound, t, matrix)
+            out, bound = _finite_sums(variant, s, x, t, y, i, j)
+            _rounding_guard(variant, out, bound, t[j], pairs is not None)
         elif isinstance(variant, LatticeSpec):
             # the principal band (shift m = 0) is the stationary kernel at
             # density 1/a, backward term included
-            out = _stationary_bands(variant.density, t - s, y - x, tol=tol)
-            out += _lattice_sums(variant, s, x, t, y, tol)
+            out = _stationary_bands(variant.density, t[j] - s[i], y[j] - x[i],
+                                    tol=tol)
+            out += _lattice_sums(variant, s[i], x[i], t[j], y[j], tol)
         else:
-            out = _stationary_bands(variant.rho, t - s, y - x, tol=tol)
+            out = _stationary_bands(variant.rho, t[j] - s[i], y[j] - x[i],
+                                    tol=tol)
         if self.gauge == "paper":
-            out *= np.exp(s - t)
+            out *= np.exp(s[i] - t[j])
         return out
 
     @classmethod

@@ -137,7 +137,7 @@ def martingale_polynomial(n: int, t: float, x: float) -> float:
 _ROW_BLOCK_FLOATS = 1 << 13
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=512)
 def _series_weights(n_sites: int, t: float) -> np.ndarray:
     # m! * b_m(t) for m < n_sites (zero at odd m): the weights of
     # Phi^{(m)}(y) / m! in the heat-operator series, each evaluated exactly
@@ -178,9 +178,11 @@ def _basis_taylor_rows(config: FiniteConfiguration,
     coef = np.zeros((n, len(ys), n))
     coef[0] = 1.0
     for j in range(n):
-        shifted = coef[:-1] * inv[j]
-        coef *= ratio[j]
-        coef[1:] += shifted
+        # before factor j only powers 0..j are nonzero
+        top = min(j + 2, n)
+        shifted = coef[:top - 1] * inv[j]
+        coef[:top] *= ratio[j]
+        coef[1:top] += shifted
     return coef
 
 

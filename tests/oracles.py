@@ -6,7 +6,8 @@ signed Bessel transform summed ring by ring for site martingales (in
 double precision, and at 60 digits with mpmath), the site-martingale rows
 built one final site at a time, the finite kernel sums with one row call
 per distinct (t, y), the lattice kernel by its defining sum
-over initial sites and at 40 digits by its folded form, Karlin-McGregor
+over initial sites and at 40 digits by its folded form, the stationary
+kernel with one band quadrature per time lag, Karlin-McGregor
 determinants of scipy's ``ive`` for equal-time correlations, a
 jump-chain level simulation for
 exit probabilities, per-sample walk paths with a jump-by-jump
@@ -29,7 +30,7 @@ import numpy as np
 
 from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
-from ncrw.kernels import KernelSpec, StationarySpec
+from ncrw.kernels import KernelSpec, StationarySpec, sine_kernel
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
                               _series_weights, site_martingale_rows)
 from ncrw.quadrature import gauss_legendre
@@ -232,6 +233,31 @@ def lattice_martingale_batch(lattice: LatticeSpec, offsets, t: float, *,
         return np.cos(lam * d / a) * np.exp(t * (1.0 - np.cos(lam / a)))
 
     return gauss_legendre(integrand, 0.0, math.pi, tol=tol) / math.pi
+
+
+def stationary_bands_per_dt(rho: float, dt, dx, *, tol: float = 1e-13
+                            ) -> np.ndarray:
+    """The prob-gauge stationary kernel at each (dt[i], dx[i]) with one
+    vector quadrature per distinct dt: int_0^rho cos(u*pi*dx) exp(dt*(1 -
+    cos(u*pi))) du for dt > 0, minus the same over [rho, 1] for dt < 0, the
+    sine kernel at dt = 0.  The reference for ``kernels._stationary_bands``,
+    which integrates every column of a band in one quadrature."""
+    dt, dx = np.asarray(dt, dtype=float), np.asarray(dx, dtype=np.int64)
+    out = np.empty(len(dt))
+    for dtv in sorted(set(dt.tolist())):
+        idx = dt == dtv
+        n = dx[idx]
+        if dtv == 0.0:
+            out[idx] = [sine_kernel(rho, v) for v in n.tolist()]
+            continue
+
+        def integrand(u, dtv=dtv, n=n):
+            u = u[:, None]
+            return np.cos(u * math.pi * n) * np.exp(dtv * (1.0 - np.cos(u * math.pi)))
+
+        lo, hi, sign = (0.0, rho, 1.0) if dtv > 0 else (rho, 1.0, -1.0)
+        out[idx] = sign * gauss_legendre(integrand, lo, hi, tol=tol)
+    return out
 
 
 def band_mpmath(dt: float, dx: int, lo, hi, dps: int = 40):

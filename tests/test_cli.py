@@ -448,13 +448,13 @@ GOLDEN = [
      "s,x,t,y,value\n"
      "0.5,-1,1.25,0,0.19338892490464032\n"
      "0.5,-1,1.25,1,0.042456919687761496\n"
-     "0.5,-1,1.25,2,-0.044669253895078809\n"
+     "0.5,-1,1.25,2,-0.044669253895078836\n"
      "0.5,0,1.25,0,1.0799621003412747\n"
      "0.5,0,1.25,1,0.5656452070323239\n"
      "0.5,0,1.25,2,-0.26236797905671944\n"
      "0.5,1,1.25,0,0.19338892490464032\n"
      "0.5,1,1.25,1,0.26996667159953464\n"
-     "0.5,1,1.25,2,0.19338892490464027\n"),
+     "0.5,1,1.25,2,0.19338892490464032\n"),
     (["density", "--spec", "finite:0,2,5", "--t", "1.5", "--window", "-2:7"],
      "t,x,rho\n"
      "1.5,-2,0.19291153879770001\n"

@@ -18,10 +18,11 @@ from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
                               LatticeSpec)
 from ncrw.quadrature import gauss_legendre
 from ncrw.relaxation import relaxation_sweep
-from oracles import (finite_sums_per_site, gauge_transform, itilde,
-                     karlin_mcgregor, kernel_finite_mpmath, lagrange_basis,
-                     lattice_kernel_mpmath, lattice_kernel_site_sum,
-                     lattice_principal_band)
+from oracles import (band_mpmath, finite_sums_per_site, gauge_transform,
+                     itilde, karlin_mcgregor, kernel_finite_mpmath,
+                     lagrange_basis, lattice_kernel_mpmath,
+                     lattice_kernel_site_sum, lattice_principal_band,
+                     stationary_bands_per_dt)
 
 WIDE = FiniteConfiguration.equidistant(2, 20)  # 2Z in [-20, 20], N = 21
 
@@ -439,6 +440,80 @@ class TestKernelStationary:
             math.sin(math.pi / 3.0) / math.pi)
 
 
+# the densities of the benchmark's stationary requests, and time lags of
+# both signs on its quarter time grid
+BAND_RHOS = (0.2, 0.25, 0.4, 0.5, 0.6, 0.75)
+BAND_LAGS = tuple(0.25 * k for k in range(-15, 16))
+
+
+class TestStationaryBands:
+    """``_stationary_bands`` integrates every (dt, dx) column of a band in
+    one quadrature; ``oracles.stationary_bands_per_dt`` makes one per time
+    lag."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rho=st.sampled_from(BAND_RHOS),
+           cols=st.lists(st.tuples(st.sampled_from(BAND_LAGS),
+                                   st.integers(-10, 10)),
+                         min_size=1, max_size=6))
+    def test_mixed_lags_match_per_lag_oracle(self, rho, cols):
+        dt = np.array([c[0] for c in cols])
+        dx = np.array([c[1] for c in cols], dtype=np.int64)
+        got = kernels._stationary_bands(rho, dt, dx, tol=1e-13)
+        want = stationary_bands_per_dt(rho, dt, dx, tol=1e-13)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(got)))
+        for v, d, n in zip(got.tolist(), dt.tolist(), dx.tolist()):
+            exact = band_mpmath(d, n, 0, rho, 20) if d >= 0 else \
+                -band_mpmath(d, n, rho, 1, 20)
+            assert abs(v - float(exact)) <= 1e-13 * max(1.0, abs(v))
+
+    def test_mixed_scale_batch(self):
+        # the column at dt = 8 (4.3e4) sets the convergence scale of the
+        # band; the small, fast-oscillating column beside it stays as
+        # accurate as on its own (2.1e-15 either way)
+        dt, dx = np.array([8.0, 0.25]), np.array([0, 600])
+        both = kernels._stationary_bands(0.75, dt, dx, tol=1e-13)
+        alone = kernels._stationary_bands(0.75, dt[1:], dx[1:], tol=1e-13)[0]
+        assert both[0] == pytest.approx(float(band_mpmath(8.0, 0, 0, 0.75)),
+                                        rel=1e-14)
+        exact = float(band_mpmath(0.25, 600, 0, 0.75))
+        assert abs(alone - exact) <= 5e-15
+        assert abs(both[1] - exact) <= abs(alone - exact) + 1e-17
+
+    def test_one_quadrature_per_band(self, monkeypatch):
+        # a 4-group correlation has six time lags of each sign
+        calls, quad = [], kernels.gauss_legendre
+
+        def spy(f, a, b, **opts):
+            calls.append((a, b))
+            return quad(f, a, b, **opts)
+
+        monkeypatch.setattr(kernels, "gauss_legendre", spy)
+        pts = MultiTimePointSet(((0.25, (-3, 0, 4)), (1.0, (-1, 2, 5)),
+                                 (1.75, (0, 1, 3)), (3.5, (-5, 2, 4))))
+        correlation_function(KernelSpec(StationarySpec(0.4)), pts)
+        assert sorted(calls) == [(0.0, 0.4), (0.4, 1.0)]
+
+    @pytest.mark.parametrize("variant", [StationarySpec(0.6), LatticeSpec(2),
+                                         LatticeSpec(3)],
+                             ids=["stationary", "lattice2", "lattice3"])
+    def test_equal_keys_equal_values(self, variant):
+        # entries with one (dt, dx) (on the lattice also one s, t and
+        # x mod a) are one column of the batch, so exactly equal; one
+        # quadrature per time lag over repeated columns left some apart
+        spec = KernelSpec(variant)
+        points = [(t, x) for t in (0.25, 1.0, 1.75, 2.5) for x in range(-4, 5)]
+        mat = kernel_matrix(spec, points)
+        seen = {}
+        for (s, x), row in zip(points, mat.tolist()):
+            for (t, y), v in zip(points, row):
+                key = (t - s, y - x) if isinstance(variant, StationarySpec) \
+                    else (s, t, y - x, x % variant.a)
+                seen.setdefault(key, set()).add(v)
+        assert len(seen) < len(points) ** 2
+        assert all(len(v) == 1 for v in seen.values())
+
+
 class TestGaugeTransform:
     def test_identity_weight(self):
         c = FiniteConfiguration((0, 2))
@@ -534,6 +609,36 @@ class TestBatchedValues:
                 want = spec.values([p], [q])[0]
                 assert abs(mat[i, j] - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("gauge", GAUGES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matrix_bit_equal_to_values_over_pairs(self, variant, gauge):
+        # kernel_matrix evaluates its n points and the pair indices, values
+        # the n^2 pairs themselves: the same entries, s > t ones included
+        spec = KernelSpec(variant, gauge)
+        points = [(t, x) for t in (0.0, 0.75, 2.5) for x in (-4, 1, 3)]
+        ps, qs = [p for p in points for _ in points], points * len(points)
+        got = kernel_matrix(spec, points).ravel()
+        assert np.array_equal(got, spec.values(ps, qs))
+
+    @pytest.mark.parametrize("gauge", GAUGES)
+    def test_balanced_matrix_bit_equal_to_pairs(self, gauge):
+        # values refuses these n^2 pairs, the matrix passes after
+        # balancing: its entries are those of the unguarded pair route
+        spec = KernelSpec(WIDE, gauge)
+        points = [(2.0, x) for x in window_around(WIDE.sites, 2.0)] + \
+            [(1.5, x) for x in range(-10, 11, 5)]
+        ps, qs = [p for p in points for _ in points], points * len(points)
+        with pytest.raises(ConvergenceError):
+            spec.values(ps, qs)
+        s, x = kernels._split_points(ps)
+        t, y = kernels._split_points(qs)
+        want = kernels._finite_sums(WIDE, s, x, t, y, slice(None),
+                                    slice(None))[0]
+        if gauge == "paper":
+            want *= np.exp(s - t)
+        assert (s > t).any()
+        assert np.array_equal(kernel_matrix(spec, points).ravel(), want)
+
     def test_length_checks(self):
         spec = KernelSpec(LatticeSpec(2))
         assert spec.values([], []).shape == (0,)
@@ -582,11 +687,12 @@ class TestFiniteRowBatching:
                WIDE]
 
     @staticmethod
-    def assert_matches_oracle(config, ps, qs):
+    def assert_matches_oracle(config, ps, qs, i=slice(None), j=slice(None)):
+        # the entries (ps[i], qs[j]), by default the pairs (ps[e], qs[e])
         s, x = kernels._split_points(ps)
         t, y = kernels._split_points(qs)
-        want, want_bound = finite_sums_per_site(config, s, x, t, y)
-        got, bound = kernels._finite_sums(config, s, x, t, y)
+        want, want_bound = finite_sums_per_site(config, s[i], x[i], t[j], y[j])
+        got, bound = kernels._finite_sums(config, s, x, t, y, i, j)
         assert np.array_equal(got, want)
         assert np.array_equal(bound, want_bound)
         return want
@@ -614,6 +720,10 @@ class TestFiniteRowBatching:
         n = len(points)
         want = self.assert_matches_oracle(
             config, [p for p in points for _ in range(n)], points * n)
+        idx = np.arange(n)
+        pairs = (np.repeat(idx, n), np.tile(idx, n))
+        assert np.array_equal(
+            self.assert_matches_oracle(config, points, points, *pairs), want)
         got = kernel_matrix(KernelSpec(config), points)
         assert np.array_equal(got.ravel(), want)
 

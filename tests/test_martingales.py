@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -332,19 +335,23 @@ class TestSiteMartingaleBatch:
                 assert np.array_equal(spreads[i], spread)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 21), data=st.data(),
+    @given(n=st.integers(1, 40), data=st.data(),
            t=st.sampled_from((0.0, 0.25, 0.5, 2.0, 14.0)))
     def test_power_major_rows_match_y_major_oracle(self, n, data, t):
-        # the (power, y, k) Taylor rows against the (y, k, power) ones, and
-        # the blocked rows and spreads against one unblocked batch; the ys
-        # span up to three row blocks and hit the sites
+        # the (power, y, k) Taylor rows, which update only the powers a
+        # factor can reach, against the (y, k, power) ones, which update
+        # all; the blocked rows and spreads against one unblocked batch.
+        # The ys span up to three row blocks and hit the sites, where the
+        # rows at t = 0 are Kronecker rows.
         gaps = data.draw(st.lists(st.integers(1, 6), min_size=n - 1,
                                   max_size=n - 1))
         sites = tuple(np.cumsum([-10, *gaps]).tolist())
         block = max(1, _ROW_BLOCK_FLOATS // (n * n))
         count = data.draw(st.integers(0, min(3 * block + 1, 400)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        ys = rng.integers(sites[0] - 20, sites[-1] + 21, size=count)
+        ys = np.concatenate([rng.permutation(sites)[:block + 1],
+                             rng.integers(sites[0] - 20, sites[-1] + 21,
+                                          size=count)])
         c = FiniteConfiguration(sites)
         got = _basis_taylor_rows(c, ys).transpose(1, 2, 0)
         want = basis_taylor_rows_yk(c, ys)
@@ -354,6 +361,12 @@ class TestSiteMartingaleBatch:
                              site_martingale_rows_yk(c, t, ys)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+        if t == 0.0:
+            rows = site_martingale_rows(c, t, ys)[0]
+            at = np.searchsorted(sites, ys)
+            hit = np.isin(ys, sites)
+            assert hit[:min(n, block + 1)].all()
+            assert np.array_equal(rows[hit], np.eye(n)[at[hit]])
 
     def test_empty_batch(self):
         rows, spreads = site_martingale_rows(FiniteConfiguration((0, 3)),
@@ -386,6 +399,43 @@ class TestSiteMartingaleBatch:
                         for m, c in enumerate(taylor)]
             assert np.all(weights[1::2] == 0.0)
             np.testing.assert_allclose(weights[::2], want[::2], rtol=1e-15)
+
+    @pytest.mark.parametrize("t", [0.0, 0.25, 3.75, 14.0])
+    def test_series_weights_are_prefixes(self, t):
+        # each weight is evaluated on its own: N sites take the first N
+        # weights of any larger configuration, bit for bit
+        full = _series_weights(60, t)
+        for n in (1, 2, 3, 13, 21, 59):
+            assert _series_weights(n, t).tobytes() == full[:n].tobytes()
+
+    def test_series_weights_cache_holds_stream_keys(self, monkeypatch):
+        # the (N, t) keys of twelve rounds of the benchmark's analytic
+        # stream: a second pass over them makes no cache misses
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "streams.py")
+        spec = importlib.util.spec_from_file_location("bench_streams", path)
+        streams = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, streams)
+        spec.loader.exec_module(streams)
+        keys = []
+        for index in range(12):
+            for req in streams.round_requests("analytic", 77, index):
+                p = req.params
+                if "config" in p:
+                    times = [t for t, _ in p["groups"]] if "groups" in p \
+                        else [p["t"]]
+                    keys += [(len(p["config"]), float(t)) for t in times]
+                elif "u" in p:
+                    keys.append((1, float(p["t"])))
+        assert len(set(keys)) > 64
+        _series_weights.cache_clear()
+        for key in keys:
+            _series_weights(*key)
+        misses = _series_weights.cache_info().misses
+        assert misses == len(set(keys))
+        for key in keys:
+            _series_weights(*key)
+        assert _series_weights.cache_info().misses == misses
 
     @pytest.mark.parametrize("n", [247, 400])
     def test_overflowing_series_refused(self, n):
