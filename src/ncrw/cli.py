@@ -6,17 +6,21 @@ threads, seed, output format, output path) resolve in the order
 command-line flag > key=value file named by $NCRW_CONFIG > built-in
 default.  Exit codes: 0 success, 1 numerical-convergence failure, 2 usage
 error.  All output is deterministic for a fixed argv and seed.
+
+argparse declares every option and writes every help and usage message.
+A request naming a subcommand is read in one pass from its subparser's
+tables (``_plan``); anything the plan does not follow gets one full parse.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .correlations import (MultiTimePointSet, correlation_function,
                            density_profile)
@@ -109,14 +113,33 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _json(v, indent: str) -> str:
+    # the bytes of json.dumps(v, indent=2, allow_nan=True), whose indented
+    # encoder is pure Python, in one pass with json's own leaf encodings
+    if isinstance(v, str):
+        return _json_str(v)
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else \
+            "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner, ends = indent + "  ", "{}" if isinstance(v, dict) else "[]"
+    items = [_json_str(k) + ": " + _json(x, inner) for k, x in v.items()] \
+        if isinstance(v, dict) else [_json(x, inner) for x in v]
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] \
+        if items else ends
+
+
 def _emit_json(doc: dict, cfg: RunConfig) -> None:
-    _emit(json.dumps(doc, indent=2, allow_nan=True) + "\n", cfg)
+    _emit(_json(doc, "\n") + "\n", cfg)
 
 
 def _emit_csv(header: list[str], kinds: str, rows, cfg: RunConfig) -> None:
     # One %-template for the whole table, from the declared column kinds:
     # "f" columns print as _fmt does ('%.17g' % v is format(v, '.17g')),
-    # the others as str(v).
+    # the others as str(v), so a repeated float can be passed as _fmt(v).
     cells = [v for row in rows for v in row]
     line = ",".join("%.17g" if k == "f" else "%s" for k in kinds) + "\n"
     body = (line * (len(cells) // len(kinds))) % tuple(cells)
@@ -178,8 +201,9 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
                  for y in _parse_range(parts[3])]
         values = spec.values([(s, x) for x, _ in cells],
                              [(t, y) for _, y in cells], tol=cfg.tol_quad)
-        _emit_csv(["s", "x", "t", "y", "value"], "fsfsf",
-                  [[s, x, t, y, v]
+        s_text, t_text = _fmt(s), _fmt(t)
+        _emit_csv(["s", "x", "t", "y", "value"], "ssssf",
+                  [[s_text, x, t_text, y, v]
                    for (x, y), v in zip(cells, values.tolist())], cfg)
         return 0
     if args.dt is not None:
@@ -213,8 +237,9 @@ def _cmd_density(args, cfg: RunConfig) -> int:
         _emit_json({"spec": args.spec, "t": args.t,
                     "rows": [[x, v] for x, v in zip(window, rho)]}, cfg)
     else:
-        _emit_csv(["t", "x", "rho"], "fsf",
-                  [[args.t, x, v] for x, v in zip(window, rho)], cfg)
+        t_text = _fmt(args.t)
+        _emit_csv(["t", "x", "rho"], "ssf",
+                  [[t_text, x, v] for x, v in zip(window, rho)], cfg)
     return 0
 
 
@@ -275,23 +300,22 @@ def _cmd_relaxation(args, cfg: RunConfig) -> int:
     dxs = range(0, args.dx_max + 1)
     report = relaxation_sweep(lattice, [(args.dt, dx) for dx in dxs], taus,
                               tol=cfg.tol_quad)
-    columns = (list(dxs) * len(taus), report.lattice_values.ravel().tolist(),
-               report.stationary_values.tolist() * len(taus),
-               report.gaps.ravel().tolist())
+    lattice = report.lattice_values.ravel().tolist()
 
-    def cells(tau_col, dt):
-        # one row per (tau, dx) cell, each tau given once
-        return zip([v for v in tau_col for _ in dxs], [dt] * len(columns[0]),
-                   *columns)
+    def cells(fmt):
+        # one row per (tau, dx); fmt meets each tau and stationary value once
+        return zip([v for v in map(fmt, taus) for _ in dxs],
+                   [fmt(args.dt)] * len(lattice), list(dxs) * len(taus),
+                   lattice, [*map(fmt, report.stationary_values.tolist())]
+                   * len(taus), report.gaps.ravel().tolist())
 
     if cfg.output == "json":
         keys = ("tau", "dt", "dx", "lattice_value", "stationary_value", "gap")
         _emit_json({"a": args.a, "entries": [
-            dict(zip(keys, c)) for c in cells(taus, args.dt)]}, cfg)
+            dict(zip(keys, c)) for c in cells(float)]}, cfg)
     else:
         _emit_csv(["tau", "dt", "dx", "lattice_value", "stationary_value",
-                   "gap"], "sssfff", cells(map(_fmt, taus), _fmt(args.dt)),
-                  cfg)
+                   "gap"], "sssfsf", cells(_fmt), cfg)
     return 0
 
 
@@ -307,9 +331,8 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _parser() -> tuple[argparse.ArgumentParser,
-                       dict[str, argparse.ArgumentParser]]:
-    # The full parser and each subcommand's own parser, by name.  Building
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    # The full parser and each subcommand's plan table, by name.  Building
     # them costs a large share of a small request, and parse_args leaves
     # them unchanged, so one instance serves every call.
     common = argparse.ArgumentParser(add_help=False)
@@ -387,7 +410,8 @@ def _parser() -> tuple[argparse.ArgumentParser,
     st = sub.add_parser("selftest", parents=[common],
                         help="run the numerical acceptance checks")
     st.set_defaults(handler=_cmd_selftest)
-    return parser, sub.choices
+    return parser, {name: _plan_table(sub.dest, name, p)
+                    for name, p in sub.choices.items()}
 
 
 # options whose values may start with '-' (ranges, point lists, site lists);
@@ -398,29 +422,70 @@ _FUSE_VALUE_FLAGS = ("--window", "--grid", "--point", "--at", "--tau",
 
 def _normalize_argv(argv: list[str]) -> list[str]:
     out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in _FUSE_VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if out and out[-1] in _FUSE_VALUE_FLAGS:
+            out[-1] += "=" + arg
         else:
             out.append(arg)
-            i += 1
     return out
+
+
+def _plan_table(dest: str, name: str, sub: argparse.ArgumentParser):
+    # what _plan needs of one subcommand, read from its argparse tables;
+    # None where argparse would also convert a string default by its type
+    if any(isinstance(a.default, str) and a.type for a in sub._actions):
+        return None
+    defaults = {a.dest: a.default for a in reversed(sub._actions)
+                if a.dest is not argparse.SUPPRESS
+                and a.default is not argparse.SUPPRESS}
+    options = {s: a for s, a in sub._option_string_actions.items()
+               if type(a) in (argparse._StoreAction, argparse._AppendAction)
+               and a.nargs is None}
+    return (sub, options, {dest: name, **sub._defaults, **defaults},
+            [a for a in sub._actions if a.required],
+            [(g.required, set(g._group_actions))
+             for g in sub._mutually_exclusive_groups], tuple(sub.prefix_chars),
+            (lambda text: None) if sub._has_negative_number_optionals
+            else sub._negative_number_matcher.match)
+
+
+def _plan(argv: list[str], tables: dict) -> argparse.Namespace | None:
+    """The namespace a full parse of ``argv`` builds, in one pass, or None
+    where the full parse has to decide (it alone writes help and errors)."""
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    sub, options, defaults, required, groups, prefix, negative = table
+    ns, seen, args = argparse.Namespace(**defaults), set(), iter(argv[1:])
+    for arg in args:
+        action = options.get(arg)
+        if action is not None:
+            text = next(args, None)
+            if text is None or text.startswith(prefix) and not negative(text):
+                return None
+        else:
+            option, eq, text = arg.partition("=")
+            action = options.get(option) if eq else None
+            # left to argparse: some versions strip an explicit '--' value
+            if action is None or text in ("", "--"):
+                return None
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        action(sub, ns, value)
+        seen.add(action)
+    return None if any(a not in seen for a in required) or any(
+        len(seen & group) > 1 or needed and not seen & group
+        for needed, group in groups) else ns
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
-    parser, commands = _parser()
-    # A request that names a subcommand is parsed once, by that
-    # subcommand's parser.  Everything else (help, an unknown command,
-    # arguments it leaves over) goes through the full parser, whose usage
-    # messages and exit codes are those of a single full parse.
-    command = commands.get(argv[0]) if argv else None
-    args, rest = command.parse_known_args(argv[1:]) if command else (None, ())
-    if command is None or rest:
-        args = parser.parse_args(argv)
+    parser, tables = _parser()
+    args = _plan(argv, tables) or parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
         return args.handler(args, cfg)

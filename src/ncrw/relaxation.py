@@ -50,11 +50,6 @@ class RelaxationReport:
     stationary_values: np.ndarray  # shape (len(displacements),)
     gaps: np.ndarray              # shape like lattice_values
 
-    def gap_non_increasing(self, from_index: int = 0) -> np.ndarray:
-        """Per-displacement flag: gaps non-increasing along tau_grid[from_index:]."""
-        g = self.gaps[from_index:]
-        return np.all(np.diff(g, axis=0) <= 1e-12, axis=0)
-
     def max_gap(self) -> np.ndarray:
         """Worst gap over displacements, per tau."""
         return self.gaps.max(axis=1)
@@ -75,8 +70,8 @@ def relaxation_sweep(lattice: LatticeSpec,
     taus = tuple(float(v) for v in tau_grid)
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError(f"tau grid must be strictly increasing, got {taus}")
-    if any(v < 0 for v in taus):
-        raise ValueError("tau grid must be >= 0")
+    if not all(0 <= v < math.inf for v in taus):
+        raise ValueError(f"tau grid must be finite and >= 0, got {taus}")
     disp = tuple((float(dt), int(dx)) for dt, dx in displacements)
     # dt < 0 puts the first point later: s = tau - dt, t = tau
     starts = [(max(-dt, 0.0), 0) for dt, _ in disp]

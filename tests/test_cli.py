@@ -1,9 +1,12 @@
+import argparse
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrw.cli import RunConfig, _emit_csv, _normalize_argv, _parser, main
+from ncrw.cli import (RunConfig, _emit_csv, _emit_json, _fmt,
+                      _normalize_argv, _parser, _plan, main)
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
 from ncrw.martingales import FiniteConfiguration, LatticeSpec
@@ -253,6 +257,17 @@ class TestRelaxationCommand:
                                  "--dx-max", "-1"], capsys)
         assert code == 2 and "--dx-max" in err
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "2,nan"])
+    def test_non_finite_tau_usage_error(self, tau, capsys):
+        # exit 2 at once, not exit 1 after quadrature refinement (and no
+        # numpy warning on the way)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = usage_error(["relaxation", "--a", "2", "--tau", tau],
+                                    capsys)
+        assert code == 2
+        assert err.startswith("ncrw: tau grid must be finite and >= 0")
+
 
 class TestGlobalBehavior:
     def test_deterministic_bytes(self):
@@ -345,9 +360,74 @@ SIMULATE = ["simulate", "--config=0,2", "--T", "1", "--estimator", "h",
             "--at=0.5:0"]
 
 
+def fields(namespace):
+    """A namespace's attributes by repr, so that NaN equals NaN and -0.0
+    differs from 0.0."""
+    return {k: repr(v) for k, v in vars(namespace).items()}
+
+
+def _load_streams():
+    path = Path(__file__).resolve().parents[1] / "bench" / "streams.py"
+    spec = importlib.util.spec_from_file_location("bench_streams", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+STREAMS = _load_streams()
+# the request shapes of every workload (round 0 of three seeds)
+STREAM_ARGVS = [list(r.argv) for w in STREAMS.WORKLOADS for seed in range(3)
+                for r in STREAMS.round_requests(w, seed, 0)]
+BAD_VALUES = ["ten", "bogus", "nan", "", "-1", "-1e-3", "-x", "--", "1e400",
+              "paper", "dmr"]
+EXTRA_TOKENS = [["--"], ["-h"], ["--help"], ["--spec="], ["--tau="],
+                ["--bogus"], ["extra"], ["--point", "0,0"], ["--dt", "1"],
+                ["--dx", "2"], ["--grid", "0.5,-1:1,1,0:2"],
+                ["--output", "json"], ["--output", "xml"], ["--gauge", "dmr"],
+                ["--seed", "-3"]]
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A benchmark request with up to three edits: a flag dropped,
+    abbreviated, repeated or given a bad or flag-like value; a fused value
+    split; '--', help, an empty '--opt=' or a --point/--dt/--grid added."""
+    argv = list(draw(st.sampled_from(STREAM_ARGVS)))
+    for _ in range(draw(st.integers(0, 3))):
+        flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+        edit = draw(st.sampled_from(["drop", "abbrev", "repeat", "value",
+                                     "unfuse", "insert"]))
+        if edit == "insert" or not flags:
+            at = draw(st.integers(1, len(argv)))
+            argv[at:at] = draw(st.sampled_from(EXTRA_TOKENS))
+            continue
+        i = draw(st.sampled_from(flags))
+        option, eq, value = argv[i].partition("=")
+        width = 1 if eq or i + 1 == len(argv) else 2
+        if edit == "drop":
+            del argv[i:i + width]
+        elif edit == "abbrev":
+            cut = draw(st.integers(3, max(3, len(option) - 1)))
+            argv[i] = option[:cut] + eq + value
+        elif edit == "repeat":
+            argv += argv[i:i + width]
+        elif edit == "value":
+            bad = draw(st.sampled_from(BAD_VALUES))
+            if eq:
+                argv[i] = option + "=" + bad
+            elif width == 2:
+                argv[i + 1] = bad
+        elif eq:
+            argv[i:i + 1] = [option, value]
+        elif width == 2:
+            argv[i + 1] = draw(st.sampled_from(["-1e-3", "-x", "-0.5"]))
+    return argv
+
+
 class TestParsing:
-    """A request naming a subcommand is parsed once, by its own parser; the
-    outcome is that of a single full parse."""
+    """A request naming a subcommand is read by the one-pass plan, or by one
+    full parse where the plan defers; the outcome is that of a full parse."""
 
     @pytest.mark.parametrize("argv, code, text", [
         (SIMULATE + ["--samples", "10", "--bogus"], 2,
@@ -389,11 +469,34 @@ class TestParsing:
     ])
     def test_namespace_matches_full_parse(self, argv):
         argv = _normalize_argv(argv)
-        parser, commands = _parser()
-        direct, rest = commands[argv[0]].parse_known_args(argv[1:])
-        assert rest == []
-        assert vars(parser.parse_args(argv)) == {**vars(direct),
-                                                 "command": argv[0]}
+        parser, tables = _parser()
+        planned = _plan(argv, tables)
+        assert planned is not None
+        assert fields(planned) == fields(parser.parse_args(argv))
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=mutated_argvs())
+    def test_plan_is_a_full_parse(self, argv):
+        # the plan builds the full parse's namespace or defers to it, and a
+        # deferred request that argparse refuses ends as one full parse
+        parser, tables = _parser()
+        normalized = _normalize_argv(argv)
+        planned = _plan(normalized, tables)
+        full = outcome(parser.parse_args, normalized)
+        if planned is not None:
+            assert fields(planned) == fields(full[0])
+        if not isinstance(full[0], argparse.Namespace):
+            assert outcome(main, argv) == full
+
+    @pytest.mark.parametrize("workload", STREAMS.WORKLOADS)
+    def test_workload_requests_take_the_plan(self, workload):
+        parser, tables = _parser()
+        for index in range(2):
+            for request in STREAMS.round_requests(workload, 5, index):
+                argv = _normalize_argv(list(request.argv))
+                planned = _plan(argv, tables)
+                assert planned is not None, argv
+                assert fields(planned) == fields(parser.parse_args(argv))
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config=0,2,5", "--T", "1", "--samples", "50",
@@ -559,18 +662,45 @@ SIMULATE_GOLDEN = [
 ]
 
 
+JSON_LEAVES = (st.none() | st.booleans()
+               | st.integers(-10 ** 30, 10 ** 30) | CELLS["f"] | st.text())
+JSON_DOCS = st.recursive(
+    JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=4), max_leaves=24)
+
+
+def written(emit, *args):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        emit(*args, RunConfig(1e-13, 1, 0, None, None))
+    return buf.getvalue()
+
+
 class TestOutputBytes:
     @settings(max_examples=300, deadline=None)
-    @given(table=csv_tables())
-    def test_csv_template_matches_per_value_writer(self, table):
-        # ints are declared like strings: only floats get '%.17g'
+    @given(table=csv_tables(), data=st.data())
+    def test_csv_template_matches_per_value_writer(self, table, data):
+        # ints are declared like strings: only floats get '%.17g'; a float
+        # column that holds one value may be passed once formatted by _fmt
         kinds, rows = table
+        const = {j: data.draw(CELLS["f"]) for j, k in enumerate(kinds)
+                 if k == "f" and data.draw(st.booleans())}
+        rows = [[const.get(j, v) for j, v in enumerate(row)] for row in rows]
         header = [f"c{i}" for i in range(len(kinds))]
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            _emit_csv(header, kinds.replace("i", "s"), rows,
-                      RunConfig(1e-13, 1, 0, None, None))
-        assert buf.getvalue() == csv_per_value(header, rows)
+        want = csv_per_value(header, rows)
+        assert written(_emit_csv, header, kinds.replace("i", "s"),
+                       rows) == want
+        text = {j: _fmt(v) for j, v in const.items()}
+        assert written(_emit_csv, header, "".join(
+            "s" if j in const or k == "i" else k for j, k in enumerate(kinds)),
+            [[text.get(j, v) for j, v in enumerate(row)]
+             for row in rows]) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_json_writer_matches_json_dumps(self, doc):
+        assert written(_emit_json, doc) == json.dumps(
+            doc, indent=2, allow_nan=True) + "\n"
 
     @pytest.mark.parametrize("argv,want", GOLDEN,
                              ids=[" ".join(a[:1] + a[-2:]) for a, _ in GOLDEN])

@@ -21,6 +21,11 @@ def kernel_value(lattice, p, q):
     return KernelSpec(lattice).values([p], [q])[0]
 
 
+def gap_non_increasing(report, from_index=0):
+    """Per-displacement flag: gaps non-increasing from tau_grid[from_index]."""
+    return np.all(np.diff(report.gaps[from_index:], axis=0) <= 1e-12, axis=0)
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("s,x,t,y", [
         (0.5, 0, 0.5, 1), (2.0, 1, 1.0, 0), (3.0, 0, 4.0, 2), (1.0, 1, 1.0, 1),
@@ -85,7 +90,7 @@ class TestRelaxationSweep:
     def test_equal_time_columns_non_increasing(self):
         report = relaxation_sweep(LAT2, [(0.0, dx) for dx in range(6)],
                                   (1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
-        flags = report.gap_non_increasing(from_index=2)  # tau >= 4
+        flags = gap_non_increasing(report, from_index=2)  # tau >= 4
         assert flags.all()
         assert isinstance(report, RelaxationReport)
         assert report.gaps.shape == (6, 6)
@@ -109,6 +114,14 @@ class TestRelaxationSweep:
             relaxation_sweep(LAT2, [(0.0, 0)], (2.0, 1.0))
         with pytest.raises(ValueError):
             relaxation_sweep(LAT2, [(0.0, 0)], (-1.0, 1.0))
+
+    @pytest.mark.parametrize("taus", [(math.nan,), (2.0, math.nan),
+                                      (math.inf,), (2.0, math.inf)])
+    def test_non_finite_tau_rejected(self, taus):
+        # NaN passes both order checks; before the finite check it ran the
+        # quadrature to ConvergenceError (and inf warned on the way)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            relaxation_sweep(LAT2, [(0.0, 0)], taus)
 
     def test_sweep_matches_cells_one_at_a_time(self):
         # one batch over every cell against one values call per cell
