@@ -20,8 +20,7 @@ from .errors import ConvergenceError
 from .kernels import (KernelSpec, StationarySpec, lattice_kernel_remainder,
                       sine_kernel)
 from .martingales import (FiniteConfiguration, LatticeSpec,
-                          martingale_coefficients, martingale_polynomial,
-                          site_martingale_rows)
+                          martingale_polynomial, site_martingale_rows)
 from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
                          absorbed_weight_mean, estimate_many,
                          vandermonde_ratio)
@@ -39,8 +38,8 @@ __all__ = [
     "transition_probability_quadrature", "truncation_radius",
     "KernelSpec", "StationarySpec", "lattice_kernel_remainder",
     "sine_kernel",
-    "FiniteConfiguration", "LatticeSpec", "martingale_coefficients",
-    "martingale_polynomial", "site_martingale_rows",
+    "FiniteConfiguration", "LatticeSpec", "martingale_polynomial",
+    "site_martingale_rows",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
     "absorbed_weight_mean", "estimate_many", "vandermonde_ratio",
     "RelaxationReport", "relaxation_sweep", "remainder_damping_max",

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``kernel``, ``density``, ``correlation``, ``simulate``,
-``relaxation``, ``selftest``.  Global knobs (quadrature tolerance,
-threads, seed, output format, output path) resolve in the order
-command-line flag > key=value file named by $NCRW_CONFIG > built-in
-default.  Exit codes: 0 success, 1 numerical-convergence failure, 2 usage
-error.  All output is deterministic for a fixed argv and seed.
+``relaxation``, ``selftest``.  Exit codes: 0 success, 1 numerical-convergence
+failure, 2 usage error.  All output is deterministic for a fixed argv and seed.
 
-argparse declares every option and writes every help and usage message.
-A request naming a subcommand is read in one pass from its subparser's
+argparse declares every option, once, and writes every help and usage message.
+The run settings (``_settings``) resolve as command-line flag > key=value file
+named by $NCRW_CONFIG > built-in default: the file is read as ``--key=value``
+flags placed before the request's own, so the same parse converts and checks
+them.  A request naming a subcommand is read in one pass from its subparser's
 tables (``_plan``); anything the plan does not follow gets one full parse.
 """
 
@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -31,83 +30,70 @@ from .montecarlo import OccupationProduct, estimate_many
 from .relaxation import relaxation_sweep
 from .selftest import run_selftest
 
-_DEFAULTS = {
-    "tol_quad": 1e-13,
-    "threads": 1,
-    "seed": 0,
-    "output": None,
-    "out": None,
-}
-_CONFIG_KEYS = {
-    "tol-quad": "tol_quad", "tol_quad": "tol_quad",
-    "threads": "threads", "seed": "seed", "output": "output", "out": "out",
-}
+
+def _checked(convert, ok, rule: str):
+    # an argparse type; argparse reports input convert refuses by its name
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    check.__name__ = convert.__name__
+    return check
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tol_quad: float
-    threads: int
-    seed: int
-    output: str | None
-    out: str | None
+@lru_cache(maxsize=1)
+def _settings() -> argparse.ArgumentParser:
+    # the run settings of every subcommand, with their defaults and ranges
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol-quad", dest="tol_quad", default=1e-13,
+                        type=_checked(float, lambda v: 0.0 < v <= 1e-4,
+                                      "in (0, 1e-4]"),
+                        help="quadrature tolerance (default %(default)s)")
+    common.add_argument("--threads", default=1,
+                        type=_checked(int, lambda v: v >= 1, ">= 1"),
+                        help="accepted for compatibility (must be >= 1); "
+                             "changes no computation")
+    common.add_argument("--seed", default=0,
+                        type=_checked(int, lambda v: v >= 0, ">= 0"),
+                        help="base seed for sampling (default %(default)s)")
+    common.add_argument("--output", choices=("csv", "json"), default=None,
+                        help="override the subcommand's default encoding")
+    common.add_argument("--out", default=None,
+                        help="write to this path instead of stdout")
+    return common
 
-    def __post_init__(self):
-        if not 0.0 < self.tol_quad <= 1e-4:
-            raise ValueError(
-                f"tol_quad must be in (0, 1e-4], got {self.tol_quad}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.output not in (None, "csv", "json"):
-            raise ValueError(f"output must be csv or json, got {self.output}")
 
-
-def _load_config_file() -> dict:
+def _load_config_file() -> list[str]:
+    # the key=value lines of the file named by $NCRW_CONFIG as --key=value
+    # flags of the settings parser (tol_quad may also be written tol-quad)
     path = os.environ.get("NCRW_CONFIG")
     if not path:
-        return {}
-    out = {}
+        return []
+    flags = _settings()._option_string_actions
+    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
+            flag = "--" + key.strip().replace("_", "-")
+            if not sep or flag not in flags:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'key=value' with a known key, "
                     f"got {raw.strip()!r}")
-            out[_CONFIG_KEYS[key]] = value.strip()
+            out.append(flag + "=" + value.strip())
     return out
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    file_vals = _load_config_file()
-    for key, raw in file_vals.items():
-        if key == "tol_quad":
-            merged[key] = float(raw)
-        elif key in ("threads", "seed"):
-            merged[key] = int(raw)
-        else:
-            merged[key] = raw
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return RunConfig(**merged)
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -132,18 +118,18 @@ def _json(v, indent: str) -> str:
         if items else ends
 
 
-def _emit_json(doc: dict, cfg: RunConfig) -> None:
-    _emit(_json(doc, "\n") + "\n", cfg)
+def _emit_json(doc: dict, out: str | None) -> None:
+    _emit(_json(doc, "\n") + "\n", out)
 
 
-def _emit_csv(header: list[str], kinds: str, rows, cfg: RunConfig) -> None:
+def _emit_csv(header: list[str], kinds: str, rows, out: str | None) -> None:
     # One %-template for the whole table, from the declared column kinds:
     # "f" columns print as _fmt does ('%.17g' % v is format(v, '.17g')),
     # the others as str(v), so a repeated float can be passed as _fmt(v).
     cells = [v for row in rows for v in row]
     line = ",".join("%.17g" if k == "f" else "%s" for k in kinds) + "\n"
     body = (line * (len(cells) // len(kinds))) % tuple(cells)
-    _emit(",".join(header) + "\n" + body, cfg)
+    _emit(",".join(header) + "\n" + body, out)
 
 
 def _parse_point(text: str) -> tuple[float, int]:
@@ -184,14 +170,14 @@ def _points_doc(pts: MultiTimePointSet) -> list:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_kernel(args, cfg: RunConfig) -> int:
+def _cmd_kernel(args) -> int:
     spec = KernelSpec.parse(args.spec, args.gauge)
     if (args.dt is None) != (args.dx is None):
         raise ValueError("--dt and --dx go together")
     if args.dt is not None and not isinstance(spec.variant, StationarySpec):
         raise ValueError("--dt/--dx need a stationary spec")
     if args.grid:
-        if cfg.output == "json":
+        if args.output == "json":
             raise ValueError("--grid writes CSV only")
         parts = args.grid.split(",")
         if len(parts) != 4:
@@ -200,11 +186,11 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
         cells = [(x, y) for x in _parse_range(parts[1])
                  for y in _parse_range(parts[3])]
         values = spec.values([(s, x) for x, _ in cells],
-                             [(t, y) for _, y in cells], tol=cfg.tol_quad)
+                             [(t, y) for _, y in cells], tol=args.tol_quad)
         s_text, t_text = _fmt(s), _fmt(t)
         _emit_csv(["s", "x", "t", "y", "value"], "ssssf",
                   [[s_text, x, t_text, y, v]
-                   for (x, y), v in zip(cells, values.tolist())], cfg)
+                   for (x, y), v in zip(cells, values.tolist())], args.out)
         return 0
     if args.dt is not None:
         points = [[0.0, 0], [args.dt, args.dx]] if args.dt >= 0 \
@@ -216,57 +202,57 @@ def _cmd_kernel(args, cfg: RunConfig) -> int:
                              "(or --dt/--dx with a stationary spec)")
         p, q = (_parse_point(v) for v in args.point)
         points = [list(p), list(q)]
-    value = spec.values([p], [q], tol=cfg.tol_quad).item()
-    if cfg.output == "json":
+    value = spec.values([p], [q], tol=args.tol_quad).item()
+    if args.output == "json":
         _emit_json({"spec": args.spec, "gauge": args.gauge,
-                    "points": points, "value": value}, cfg)
-    elif cfg.output == "csv":
+                    "points": points, "value": value}, args.out)
+    elif args.output == "csv":
         _emit_csv(["s", "x", "t", "y", "value"], "fsfsf",
                   [[float(points[0][0]), int(points[0][1]),
-                    float(points[1][0]), int(points[1][1]), value]], cfg)
+                    float(points[1][0]), int(points[1][1]), value]], args.out)
     else:
-        _emit(_fmt(value) + "\n", cfg)
+        _emit(_fmt(value) + "\n", args.out)
     return 0
 
 
-def _cmd_density(args, cfg: RunConfig) -> int:
+def _cmd_density(args) -> int:
     spec = KernelSpec.parse(args.spec, args.gauge)
     window = _parse_range(args.window)
-    rho = density_profile(spec, args.t, window, tol=cfg.tol_quad).tolist()
-    if cfg.output == "json":
+    rho = density_profile(spec, args.t, window, tol=args.tol_quad).tolist()
+    if args.output == "json":
         _emit_json({"spec": args.spec, "t": args.t,
-                    "rows": [[x, v] for x, v in zip(window, rho)]}, cfg)
+                    "rows": [[x, v] for x, v in zip(window, rho)]}, args.out)
     else:
         t_text = _fmt(args.t)
         _emit_csv(["t", "x", "rho"], "ssf",
-                  [[t_text, x, v] for x, v in zip(window, rho)], cfg)
+                  [[t_text, x, v] for x, v in zip(window, rho)], args.out)
     return 0
 
 
-def _cmd_correlation(args, cfg: RunConfig) -> int:
+def _cmd_correlation(args) -> int:
     spec = KernelSpec.parse(args.spec, args.gauge)
     pts = _parse_at_groups(args.at)
-    value = correlation_function(spec, pts, tol=cfg.tol_quad)
-    if cfg.output == "csv":
+    value = correlation_function(spec, pts, tol=args.tol_quad)
+    if args.output == "csv":
         _emit_csv(["points", "value"], "sf",
                   [[";".join(f"{t}:" + "|".join(map(str, sites))
-                             for t, sites in pts.groups), value]], cfg)
+                             for t, sites in pts.groups), value]], args.out)
     else:
         _emit_json({"spec": args.spec, "points": _points_doc(pts),
-                    "value": value}, cfg)
+                    "value": value}, args.out)
     return 0
 
 
-def _cmd_simulate(args, cfg: RunConfig) -> int:
+def _cmd_simulate(args) -> int:
     sites = tuple(int(v) for v in args.config.split(","))
     config = FiniteConfiguration(sites)
     pts = _parse_at_groups(args.at)
     if pts.max_time > args.T:
         raise ValueError(f"--at time {pts.max_time} beyond --T {args.T}")
     result = estimate_many(config, [OccupationProduct(pts)], args.T,
-                           args.samples, cfg.seed, args.estimator)[0]
+                           args.samples, args.seed, args.estimator)[0]
     analytic = correlation_function(KernelSpec(config), pts,
-                                    tol=cfg.tol_quad)
+                                    tol=args.tol_quad)
     z = (result.mean - analytic) / result.std_error \
         if 0 < result.std_error < math.inf else None
     doc = {
@@ -274,7 +260,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         "estimator": args.estimator,
         "T": args.T,
         "n_samples": result.n_samples,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "points": _points_doc(pts),
         "estimate": result.mean,
         "std_error": result.std_error,
@@ -282,24 +268,24 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         "analytic_value": analytic,
         "z_score": z,
     }
-    if cfg.output == "csv":
+    if args.output == "csv":
         _emit_csv(["estimate", "std_error", "ess", "analytic_value", "z_score"],
                   "fffff", [[result.mean, result.std_error,
                              result.effective_samples, analytic,
-                             float("nan") if z is None else z]], cfg)
+                             float("nan") if z is None else z]], args.out)
     else:
-        _emit_json(doc, cfg)
+        _emit_json(doc, args.out)
     return 0
 
 
-def _cmd_relaxation(args, cfg: RunConfig) -> int:
+def _cmd_relaxation(args) -> int:
     lattice = LatticeSpec(args.a)
     if args.dx_max < 0:
         raise ValueError(f"--dx-max must be >= 0, got {args.dx_max}")
     taus = tuple(float(v) for v in args.tau.split(","))
     dxs = range(0, args.dx_max + 1)
     report = relaxation_sweep(lattice, [(args.dt, dx) for dx in dxs], taus,
-                              tol=cfg.tol_quad)
+                              tol=args.tol_quad)
     lattice = report.lattice_values.ravel().tolist()
 
     def cells(fmt):
@@ -309,19 +295,19 @@ def _cmd_relaxation(args, cfg: RunConfig) -> int:
                    lattice, [*map(fmt, report.stationary_values.tolist())]
                    * len(taus), report.gaps.ravel().tolist())
 
-    if cfg.output == "json":
+    if args.output == "json":
         keys = ("tau", "dt", "dx", "lattice_value", "stationary_value", "gap")
         _emit_json({"a": args.a, "entries": [
-            dict(zip(keys, c)) for c in cells(float)]}, cfg)
+            dict(zip(keys, c)) for c in cells(float)]}, args.out)
     else:
         _emit_csv(["tau", "dt", "dx", "lattice_value", "stationary_value",
-                   "gap"], "sssfsf", cells(_fmt), cfg)
+                   "gap"], "sssfsf", cells(_fmt), args.out)
     return 0
 
 
-def _cmd_selftest(args, cfg: RunConfig) -> int:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _cmd_selftest(args) -> int:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             return run_selftest(fh)
     return run_selftest(sys.stdout)
 
@@ -335,20 +321,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     # The full parser and each subcommand's plan table, by name.  Building
     # them costs a large share of a small request, and parse_args leaves
     # them unchanged, so one instance serves every call.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-quad", dest="tol_quad", type=float,
-                        default=None,
-                        help="quadrature tolerance (default 1e-13)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility (must be >= 1); "
-                             "changes no computation")
-    common.add_argument("--seed", type=int, default=None,
-                        help="base seed for sampling (default 0)")
-    common.add_argument("--output", choices=("csv", "json"), default=None,
-                        help="override the subcommand's default encoding")
-    common.add_argument("--out", default=None,
-                        help="write to this path instead of stdout")
-
+    common = _settings()
     parser = argparse.ArgumentParser(
         prog="ncrw",
         description="Noncolliding continuous-time random walks on Z: "
@@ -423,7 +396,7 @@ _FUSE_VALUE_FLAGS = ("--window", "--grid", "--point", "--at", "--tau",
 def _normalize_argv(argv: list[str]) -> list[str]:
     out = []
     for arg in argv:
-        if out and out[-1] in _FUSE_VALUE_FLAGS:
+        if out and out[-1] in _FUSE_VALUE_FLAGS and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -483,12 +456,13 @@ def _plan(argv: list[str], tables: dict) -> argparse.Namespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
+    argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
     parser, tables = _parser()
-    args = _plan(argv, tables) or parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return args.handler(args, cfg)
+        if argv and argv[0] in tables:  # the file's flags, then the request's
+            argv[1:1] = _load_config_file()
+        args = _plan(argv, tables) or parser.parse_args(argv)
+        return args.handler(args)
     except ConvergenceError as exc:
         print(f"ncrw: numerical convergence failure: {exc}", file=sys.stderr)
         return 1

@@ -347,7 +347,7 @@ class KernelSpec:
         done once per batch, so callers pass every entry they need at once.
         Each band (s < t, s > t) is one quadrature over its distinct
         (t - s, y - x) columns: equal columns give equal values, and it
-        runs to its slowest column, judged against its largest.
+        runs to its slowest column, each judged against its own magnitude.
 
         The quadratures stop at 2048 nodes and raise ``ConvergenceError``
         there.  For single pairs on the lattice, while (t - s)*(1 -

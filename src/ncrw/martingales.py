@@ -101,29 +101,17 @@ def _series_polynomial(m: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
-@lru_cache(maxsize=None)
-def martingale_coefficients(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact coefficient table of m_n: entry j is the t-polynomial on x^j.
+def martingale_polynomial(n: int, t: float, x: float) -> float:
+    """m_n(t, x); monic in x, m_n(0, x) = x^n, martingale along the walk.
 
-    m_n(t, x) = sum_j (sum_p coeffs[j][p] t^p) x^j, generated once by exact
-    rational convolution of exp(a*x) with the even series of
-    exp(-t*(cosh a - 1)): n!/j! b_{n-j}(t) is C(n, j) times the integer
-    polynomial (n-j)! b_{n-j}.  Monic with m_n(0, x) = x^n by construction.
-    """
+    Its x^j coefficient is n!/j! b_{n-j}(t) = C(n, j) (n-j)! b_{n-j}(t)."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return tuple(tuple(Fraction(math.comb(n, j) * c)
-                       for c in _series_polynomial(n - j))
-                 for j in range(n + 1))
-
-
-def martingale_polynomial(n: int, t: float, x: float) -> float:
-    """m_n(t, x); monic in x, m_n(0, x) = x^n, martingale along the walk."""
     total = 0.0
-    for row in reversed(martingale_coefficients(n)):  # Horner in x
-        cj = 0.0
-        for c in reversed(row):  # Horner in t
-            cj = cj * t + float(c)
+    for j in range(n, -1, -1):  # Horner in x
+        cj, w = 0.0, math.comb(n, j)
+        for c in reversed(_series_polynomial(n - j)):  # Horner in t
+            cj = cj * t + float(w * c)
         total = total * x + cj
     return total
 

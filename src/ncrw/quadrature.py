@@ -80,8 +80,9 @@ def periodic_mean(f, *, n_start: int = 16, tol: float = 1e-13) -> float:
 def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     """Integral of ``f`` over [a, b] by Gauss-Legendre with node doubling.
 
-    ``f`` maps an ndarray of nodes to values (scalar or vector per node);
-    convergence is judged in the max norm relative to max(1, ||I||_inf).
+    ``f`` maps an ndarray of nodes to values (scalar or vector per node).
+    Each component is judged on its own scale, |I_k - I'_k| <= tol *
+    max(1, |I_k|) between successive levels, and all must pass at once.
     Returns a float for scalar integrands, an ndarray otherwise.
 
     Refinement runs from 32 to at most 2048 nodes.  Tolerances are floored
@@ -110,9 +111,7 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     while 2 * n <= _GAUSS_MAX_NODES:
         n *= 2
         cur = level(n)
-        err = np.max(np.abs(cur - prev))
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if err <= tol * scale:
+        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))):
             return cur if np.ndim(cur) else np.asarray(cur).item()
         prev = cur
     raise ConvergenceError("gauss_legendre", f"no convergence to {tol:g} "

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrw.cli import (RunConfig, _emit_csv, _emit_json, _fmt,
+from ncrw import cli
+from ncrw.cli import (_emit_csv, _emit_json, _fmt, _load_config_file,
                       _normalize_argv, _parser, _plan, main)
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
@@ -41,6 +42,22 @@ def usage_error(argv, capsys):
         code, out = exc.code, ""
     assert out == ""
     return code, capsys.readouterr().err
+
+
+def settings_of(argv, monkeypatch):
+    """The namespace that ``main`` hands to the handler of ``argv``, which
+    the plan reads."""
+    got, plan = [], cli._plan
+
+    def spy(argv, tables):
+        namespace = plan(argv, tables)
+        namespace.handler = got.append
+        return namespace
+
+    monkeypatch.setattr(cli, "_plan", spy)
+    main(argv)
+    monkeypatch.setattr(cli, "_plan", plan)
+    return got.pop()
 
 
 def validate(doc, schema_name):
@@ -297,17 +314,90 @@ class TestGlobalBehavior:
         _, out2 = run_cli(argv + ["--seed", "4"])
         assert json.loads(out2)["seed"] == 4
 
-    def test_bad_config_value_rejected(self, tmp_path, monkeypatch):
+    def test_bad_config_value_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "ncrw.cfg"
         cfg.write_text("tol-quad = 0.5\n")  # above the 1e-4 ceiling
         monkeypatch.setenv("NCRW_CONFIG", str(cfg))
-        code, _ = run_cli(["kernel", "--spec", "stationary:0.5",
-                           "--dt", "0", "--dx", "1"])
+        code, _ = usage_error(["kernel", "--spec", "stationary:0.5",
+                               "--dt", "0", "--dx", "1"], capsys)
         assert code == 2
 
-    def test_threads_validated(self):
-        code, _ = run_cli(["relaxation", "--a", "2", "--tau", "2",
-                           "--threads", "0"])
+    @pytest.mark.parametrize("key, default, in_file, flag", [
+        ("tol_quad", 1e-13, ("1e-12", 1e-12), ("1e-11", 1e-11)),
+        ("threads", 1, ("2", 2), ("3", 3)),
+        ("seed", 0, ("11", 11), ("4", 4)),
+        ("output", None, ("csv", "csv"), ("json", "json")),
+        ("out", None, ("a.txt", "a.txt"), ("b.txt", "b.txt")),
+    ], ids=["tol_quad", "threads", "seed", "output", "out"])
+    def test_flag_beats_file_beats_default(self, key, default, in_file, flag,
+                                           tmp_path, monkeypatch):
+        argv = ["relaxation", "--a", "2", "--tau", "2"]
+        option = "--" + key.replace("_", "-")
+        monkeypatch.delenv("NCRW_CONFIG", raising=False)
+        assert getattr(settings_of(argv, monkeypatch), key) == default
+        cfg = tmp_path / "ncrw.cfg"
+        cfg.write_text(f"# one setting\n{key} = {in_file[0]}\n")
+        monkeypatch.setenv("NCRW_CONFIG", str(cfg))
+        assert getattr(settings_of(argv, monkeypatch), key) == in_file[1]
+        assert getattr(settings_of(argv + [option, flag[0]], monkeypatch),
+                       key) == flag[1]
+
+    def test_file_settings_reach_the_request(self, tmp_path, monkeypatch):
+        cfg, target = tmp_path / "ncrw.cfg", tmp_path / "result.json"
+        cfg.write_text(f"output = json\nout = {target}\n")
+        monkeypatch.setenv("NCRW_CONFIG", str(cfg))
+        argv = ["kernel", "--spec", "stationary:0.5", "--dt", "0", "--dx", "1"]
+        assert run_cli(argv) == (0, "")
+        validate(json.loads(target.read_text()), "kernel.json")
+        code, out = run_cli(argv + ["--output", "csv", "--out", ""])
+        assert code == 0 and out.startswith("s,x,t,y,value\n")
+
+    def test_tolerance_from_file_reaches_the_quadrature(self, tmp_path,
+                                                        monkeypatch):
+        tols, sweep = [], cli.relaxation_sweep
+
+        def spy(*args, tol):
+            tols.append(tol)
+            return sweep(*args, tol=tol)
+
+        monkeypatch.setattr(cli, "relaxation_sweep", spy)
+        cfg = tmp_path / "ncrw.cfg"
+        cfg.write_text("tol_quad = 1e-12\n")
+        monkeypatch.setenv("NCRW_CONFIG", str(cfg))
+        argv = ["relaxation", "--a", "2", "--tau", "2"]
+        assert run_cli(argv)[0] == 0
+        assert run_cli(argv + ["--tol-quad", "1e-9"])[0] == 0
+        assert tols == [1e-12, 1e-9]
+
+    @pytest.mark.parametrize("line, option, good", [
+        ("threads=0", "--threads", "2"), ("output=xml", "--output", "csv"),
+        ("seed = -1", "--seed", "2")], ids=["threads", "output", "seed"])
+    def test_bad_file_setting_exits_2(self, line, option, good, tmp_path,
+                                      monkeypatch, capsys):
+        # refused by the parse that checks flags, even where a flag of the
+        # request sets the same key
+        cfg = tmp_path / "ncrw.cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("NCRW_CONFIG", str(cfg))
+        argv = ["relaxation", "--a", "2", "--tau", "2"]
+        for extra in ([], [option, good]):
+            code, err = usage_error(argv + extra, capsys)
+            assert code == 2 and f"error: argument {option}: " in err
+
+    def test_malformed_file_line_names_its_place(self, tmp_path, monkeypatch,
+                                                 capsys):
+        cfg = tmp_path / "ncrw.cfg"
+        cfg.write_text("seed = 1\n\n# note\nspec = lattice:2\n")
+        monkeypatch.setenv("NCRW_CONFIG", str(cfg))
+        code, err = usage_error(["relaxation", "--a", "2", "--tau", "2"],
+                                capsys)
+        assert code == 2
+        assert err == (f"ncrw: {cfg}:4: expected 'key=value' with a known "
+                       "key, got 'spec = lattice:2'\n")
+
+    def test_threads_validated(self, capsys):
+        code, _ = usage_error(["relaxation", "--a", "2", "--tau", "2",
+                               "--threads", "0"], capsys)
         assert code == 2
 
     def test_successive_calls_are_independent(self):
@@ -445,8 +535,13 @@ class TestParsing:
                 "command\n"),
         (["--help"], 0, "usage: ncrw [-h] {kernel,density,correlation,"),
         (["simulate", "--help"], 0, "usage: ncrw simulate [-h] "),
+        (["density", "--spec", "finite:0", "--window", "--t", "1"], 2,
+         "ncrw density: error: argument --window: expected one argument\n"),
+        (["density", "--spec", "finite:0", "--t", "1", "--window"], 2,
+         "ncrw density: error: argument --window: expected one argument\n"),
     ], ids=["unknown-option", "leftover", "missing-flag", "bad-value",
-            "unknown-command", "no-command", "help", "simulate-help"])
+            "unknown-command", "no-command", "help", "simulate-help",
+            "flag-after-window", "window-last"])
     def test_usage_outcome_is_a_full_parse(self, argv, code, text):
         # errors go to stderr, help to stdout, never both
         got = outcome(main, argv)
@@ -489,14 +584,23 @@ class TestParsing:
             assert outcome(main, argv) == full
 
     @pytest.mark.parametrize("workload", STREAMS.WORKLOADS)
-    def test_workload_requests_take_the_plan(self, workload):
+    def test_workload_requests_take_the_plan(self, workload, tmp_path,
+                                             monkeypatch):
+        # also with every setting in $NCRW_CONFIG, whose flags come first
         parser, tables = _parser()
-        for index in range(2):
-            for request in STREAMS.round_requests(workload, 5, index):
-                argv = _normalize_argv(list(request.argv))
-                planned = _plan(argv, tables)
-                assert planned is not None, argv
-                assert fields(planned) == fields(parser.parse_args(argv))
+        cfg = tmp_path / "ncrw.cfg"
+        cfg.write_text("tol-quad = 1e-12\nthreads = 2\nseed = 9\n"
+                       f"output = json\nout = {tmp_path / 'out.txt'}\n")
+        for config in ("", str(cfg)):
+            monkeypatch.setenv("NCRW_CONFIG", config)
+            for index in range(2):
+                for request in STREAMS.round_requests(workload, 5, index):
+                    argv = _normalize_argv(list(request.argv))
+                    argv[1:1] = _load_config_file()
+                    planned = _plan(argv, tables)
+                    assert planned is not None, argv
+                    assert fields(planned) == fields(parser.parse_args(argv))
+                    assert planned.tol_quad == (1e-12 if config else 1e-13)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config=0,2,5", "--T", "1", "--samples", "50",
@@ -672,7 +776,7 @@ JSON_DOCS = st.recursive(
 def written(emit, *args):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        emit(*args, RunConfig(1e-13, 1, 0, None, None))
+        emit(*args, None)
     return buf.getvalue()
 
 

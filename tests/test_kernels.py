@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncrw import kernels
@@ -444,6 +444,7 @@ class TestKernelStationary:
 # both signs on its quarter time grid
 BAND_RHOS = (0.2, 0.25, 0.4, 0.5, 0.6, 0.75)
 BAND_LAGS = tuple(0.25 * k for k in range(-15, 16))
+WIDE_LAGS = tuple(0.25 * k for k in range(-64, 65))
 
 
 class TestStationaryBands:
@@ -468,9 +469,8 @@ class TestStationaryBands:
             assert abs(v - float(exact)) <= 1e-13 * max(1.0, abs(v))
 
     def test_mixed_scale_batch(self):
-        # the column at dt = 8 (4.3e4) sets the convergence scale of the
-        # band; the small, fast-oscillating column beside it stays as
-        # accurate as on its own (2.1e-15 either way)
+        # the small, fast-oscillating column beside the one at dt = 8
+        # (4.3e4) stays as accurate as on its own (2.1e-15 either way)
         dt, dx = np.array([8.0, 0.25]), np.array([0, 600])
         both = kernels._stationary_bands(0.75, dt, dx, tol=1e-13)
         alone = kernels._stationary_bands(0.75, dt[1:], dx[1:], tol=1e-13)[0]
@@ -479,6 +479,41 @@ class TestStationaryBands:
         exact = float(band_mpmath(0.25, 600, 0, 0.75))
         assert abs(alone - exact) <= 5e-15
         assert abs(both[1] - exact) <= abs(alone - exact) + 1e-17
+
+    def test_value_does_not_depend_on_its_batch(self):
+        # judged against the batch's largest column (14, 0), about 2e10,
+        # the first entry was accepted at 9.63e-3
+        spec = KernelSpec(StationarySpec(0.75))
+        both = spec.values([(0, 0), (0, 0)], [(0.25, 1052), (14, 0)])
+        alone = spec.values([(0, 0)], [(0.25, 1052)])[0]
+        assert alone == pytest.approx(-7.790960432265542e-08, rel=1e-12)
+        assert abs(both[0] - alone) <= 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(rho=st.sampled_from((0.75, 0.9)),
+           col=st.tuples(st.sampled_from(BAND_LAGS), st.integers(-1100, 1100)),
+           big=st.tuples(st.sampled_from(WIDE_LAGS[-17:]),
+                         st.integers(-40, 40)),
+           others=st.lists(st.tuples(st.sampled_from(WIDE_LAGS),
+                                     st.integers(-40, 40)), max_size=3))
+    def test_value_alone_equals_value_in_a_batch(self, rho, col, big, others):
+        # a column of a batch that holds one of magnitude up to 3e13 (lag
+        # 12 to 16); the batch answers each value as alone, or refuses
+        spec = KernelSpec(StationarySpec(rho))
+
+        def values(cols):
+            return spec.values([(max(0.0, -dt), 0) for dt, _ in cols],
+                               [(max(0.0, dt), dx) for dt, dx in cols])
+
+        try:
+            alone = values([col])[0]
+        except ConvergenceError:
+            assume(False)
+        try:
+            in_batch = values([col, big, *others])[0]
+        except ConvergenceError:
+            return
+        assert abs(in_batch - alone) <= 1e-13 * max(1.0, abs(alone))
 
     def test_one_quadrature_per_band(self, monkeypatch):
         # a 4-group correlation has six time lags of each sign

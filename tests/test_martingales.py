@@ -3,7 +3,6 @@ import math
 import os
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
                               LatticeSpec, _basis_taylor_rows,
-                              _series_weights, martingale_coefficients,
+                              _series_polynomial, _series_weights,
                               martingale_polynomial, site_martingale_rows)
 from ncrw.montecarlo import vandermonde_ratio
 from oracles import (backward_transform, backward_transform_exp,
@@ -110,11 +109,10 @@ class TestMartingalePolynomials:
         assert martingale_polynomial(4, 1.0, 0.0) == pytest.approx(2.0)
 
     def test_initial_condition_monic(self):
-        for n in range(13):
-            table = martingale_coefficients(n)
-            assert table[n] == (Fraction(1),)  # monic, no t dependence
-            for j in range(n):
-                assert table[j][0] == 0  # coefficients vanish at t = 0
+        # the coefficient of x^j is C(n, j) times _series_polynomial(n - j)
+        assert _series_polynomial(0) == (1,)  # monic, no t dependence
+        for m in range(1, 13):
+            assert _series_polynomial(m)[0] == 0  # vanishes at t = 0
         assert martingale_polynomial(5, 0.0, 1.5) == 1.5 ** 5
 
     def test_degree_guard(self):
