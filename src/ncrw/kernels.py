@@ -346,8 +346,8 @@ class KernelSpec:
         between entries (Bessel tables, martingale rows, quadratures) is
         done once per batch, so callers pass every entry they need at once.
         Each band (s < t, s > t) is one quadrature over its distinct
-        (t - s, y - x) columns: equal columns give equal values, and it
-        runs to its slowest column, each judged against its own magnitude.
+        (t - s, y - x) columns: equal columns give equal values.  Each column
+        keeps the value of the first level it passes at, on its own scale.
 
         The quadratures stop at 2048 nodes and raise ``ConvergenceError``
         there.  For single pairs on the lattice, while (t - s)*(1 -

@@ -8,9 +8,9 @@ Two rules cover every integral in the package:
   (the lattice momentum integrals are entire in the integration variable
   but not periodic over the integration window).
 
-Both double the node count until two successive refinements agree and both
-accept vector-valued integrands (shape ``(n_nodes, ...)`` -> integral of
-shape ``(...)``).
+Both double the node count until two successive levels agree (for
+Gauss-Legendre: each component on its own) and both accept vector-valued
+integrands (shape ``(n_nodes, ...)`` -> integral of shape ``(...)``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
 
     ``f`` maps an ndarray of nodes to values (scalar or vector per node).
     Each component is judged on its own scale, |I_k - I'_k| <= tol *
-    max(1, |I_k|) between successive levels, and all must pass at once.
+    max(1, |I_k|) between successive levels, and keeps the value of the
+    first level it passes at, so the rounding noise of the levels that other
+    components need cannot fail it.  Levels 32 and 64 are one call of ``f``.
     Returns a float for scalar integrands, an ndarray otherwise.
 
     Refinement runs from 32 to at most 2048 nodes.  Tolerances are floored
@@ -96,23 +98,31 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
             probe = np.asarray(f(np.array([a])))
             return np.zeros(probe.shape[1:]) if probe.ndim > 1 else 0.0
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
-    def level(n):
-        x, w = _leggauss(n)
-        vals = np.asarray(f(mid + half * x))
+    def weigh(n, vals):
         # np.tensordot(w, vals, axes=(0, 0)) without its Python overhead
-        return half * np.dot(w[None], vals.reshape(n, -1)).reshape(
-            vals.shape[1:])
+        w = _leggauss(n)[1][None]
+        return half * np.dot(w, vals.reshape(n, -1)).reshape(vals.shape[1:])
 
-    n = 32
-    prev = level(n)
+    # one call of f on both first levels, each weighed in the layout that
+    # a call of its own gives (BLAS rounding depends on the layout)
+    vals = np.asarray(f(mid + half * np.concatenate(
+        (_leggauss(32)[0], _leggauss(64)[0]))))
+    prev = weigh(32, vals[:32].copy(order="K"))
+    cur = weigh(64, vals[32:].copy(order="K"))
+    passed = np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
+    if np.all(passed):
+        return cur if np.ndim(cur) else np.asarray(cur).item()
+    # each column keeps the value of the first level at which it passes
+    n, out, done = 64, np.array(cur), np.array(passed)
     while 2 * n <= _GAUSS_MAX_NODES:
         n *= 2
-        cur = level(n)
-        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))):
-            return cur if np.ndim(cur) else np.asarray(cur).item()
-        prev = cur
+        prev, cur = cur, weigh(n, np.asarray(f(mid + half * _leggauss(n)[0])))
+        passed = np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
+        np.copyto(out, cur, where=passed & ~done)
+        done |= passed
+        if done.all():
+            return out if out.ndim else out.item()
     raise ConvergenceError("gauss_legendre", f"no convergence to {tol:g} "
                            f"within {_GAUSS_MAX_NODES} nodes")

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import (KernelSpec, LatticeSpec, StationarySpec,
-                      lattice_kernel_remainder, remainder_branches)
+from . import kernels
+from .kernels import LatticeSpec, remainder_branches
 from .quadrature import _leggauss
 
 
@@ -65,7 +65,8 @@ def relaxation_sweep(lattice: LatticeSpec,
     stationary value, both in the probability gauge.  The principal band of
     the lattice kernel is the stationary kernel, so it is integrated once
     per displacement, and each lattice cell adds its aliasing remainder to
-    it; the remainders of every cell are one batch.
+    it; the remainders of every cell are one batch.  Both are computed
+    directly on the displacements, validated once here.
     """
     taus = tuple(float(v) for v in tau_grid)
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -73,15 +74,18 @@ def relaxation_sweep(lattice: LatticeSpec,
     if not all(0 <= v < math.inf for v in taus):
         raise ValueError(f"tau grid must be finite and >= 0, got {taus}")
     disp = tuple((float(dt), int(dx)) for dt, dx in displacements)
+    dt, dx = np.array(disp).reshape(-1, 2).T
+    if not np.isfinite(dt).all():
+        raise ValueError("time coordinate must be finite and >= 0, got "
+                         f"{abs(dt[~np.isfinite(dt)][0])}")
     # dt < 0 puts the first point later: s = tau - dt, t = tau
-    starts = [(max(-dt, 0.0), 0) for dt, _ in disp]
-    ends = [(max(dt, 0.0), dx) for dt, dx in disp]
-    stationary = KernelSpec(StationarySpec(lattice.density)).values(
-        starts, ends, tol=tol)
+    s, t, dx = np.maximum(-dt, 0.0), np.maximum(dt, 0.0), dx.astype(np.int64)
+    stationary = kernels._stationary_bands(lattice.density, t - s, dx, tol=tol)
     tau = np.array(taus)[:, None]
-    lattice_vals = stationary + lattice_kernel_remainder(
-        lattice, tau + [s for s, _ in starts], 0, tau + [t for t, _ in ends],
-        [y for _, y in ends], tol=tol)
+    y = np.tile(dx, len(taus))
+    lattice_vals = stationary + kernels._lattice_sums(
+        lattice, (tau + s).ravel(), np.zeros_like(y), (tau + t).ravel(), y, tol
+    ).reshape(len(taus), len(dx))
     gaps = np.abs(lattice_vals - stationary[None, :])
     return RelaxationReport(lattice, disp, taus, lattice_vals, stationary,
                             gaps)

@@ -11,8 +11,9 @@ kernel with one band quadrature per time lag, Karlin-McGregor
 determinants of scipy's ``ive`` for equal-time correlations, a
 jump-chain level simulation for
 exit probabilities, per-sample walk paths with a jump-by-jump
-exit-time loop as the reference for the block sampler, and the block exit
-scan by one three-key lexsort.  The site-martingale Taylor rows are also
+exit-time loop as the reference for the block sampler, the block exit
+scan by one three-key lexsort, and Gauss-Legendre refinement with one
+integrand call per level.  The site-martingale Taylor rows are also
 kept in their (y, k, power) layout, built on strided power slices.
 It also holds small functions the package does not export, kept as
 references for the tests: single transition probabilities, the scalar
@@ -33,7 +34,7 @@ from ncrw.errors import ConvergenceError
 from ncrw.kernels import KernelSpec, StationarySpec, sine_kernel
 from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
                               _series_weights, site_martingale_rows)
-from ncrw.quadrature import gauss_legendre
+from ncrw.quadrature import _GAUSS_MAX_NODES, _leggauss, gauss_legendre
 
 
 def itilde(n: int, t: float) -> float:
@@ -714,6 +715,40 @@ def site_martingale_rows_yk(config: FiniteConfiguration, t: float, ys
     terms = basis_taylor_rows_yk(config, ys) * _series_weights(len(config),
                                                                float(t))
     return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+def gauss_legendre_levelwise(f, a: float, b: float, *, tol: float = 1e-13):
+    """Gauss-Legendre with node doubling from 32 nodes, one call of ``f`` per
+    level, every component judged at each level until all pass at once.
+
+    Where every component first passes at one level, it gives the bits of
+    ``quadrature.gauss_legendre``, which makes one call of ``f`` on the 32
+    and 64 nodes together and keeps each component from the first level at
+    which it passes.
+    """
+    tol = max(tol, 5e-15)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+
+    def level(n):
+        x, w = _leggauss(n)
+        vals = np.asarray(f(mid + half * x))
+        return half * np.dot(w[None], vals.reshape(n, -1)).reshape(
+            vals.shape[1:])
+
+    n = 32
+    prev = level(n)
+    while 2 * n <= _GAUSS_MAX_NODES:
+        n *= 2
+        cur = level(n)
+        if np.all(np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))):
+            return cur if np.ndim(cur) else np.asarray(cur).item()
+        prev = cur
+    raise ConvergenceError("gauss_legendre_levelwise",
+                           f"no convergence to {tol:g}")
 
 
 # ---------------------------------------------------------------------------

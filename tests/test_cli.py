@@ -285,6 +285,18 @@ class TestRelaxationCommand:
         assert code == 2
         assert err.startswith("ncrw: tau grid must be finite and >= 0")
 
+    @pytest.mark.parametrize("dt,shown", [("nan", "nan"), ("inf", "inf"),
+                                          ("-inf", "inf")])
+    def test_non_finite_dt_usage_error(self, dt, shown, capsys):
+        # refused before any quadrature, with the point check's text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = usage_error(["relaxation", "--a", "2", f"--dt={dt}",
+                                     "--dx-max", "1", "--tau", "1"], capsys)
+        assert code == 2
+        assert err == ("ncrw: time coordinate must be finite and >= 0, "
+                       f"got {shown}\n")
+
 
 class TestGlobalBehavior:
     def test_deterministic_bytes(self):

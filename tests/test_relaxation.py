@@ -157,6 +157,26 @@ class TestRelaxationSweep:
         assert calls == {"_stationary_bands": 1, "_lattice_sums": 1}
 
     @pytest.mark.parametrize("a,dt", [(2, 0.5), (5, -1.0), (6, 0.0)])
+    def test_stationary_values_are_kernel_values(self, a, dt):
+        # the sweep calls the band integral directly, on the same columns
+        lat = LatticeSpec(a)
+        dx = list(range(-2, 7))
+        report = relaxation_sweep(lat, [(dt, v) for v in dx], [0.0, 4.0])
+        want = KernelSpec(StationarySpec(lat.density)).values(
+            [(max(-dt, 0.0), 0)] * len(dx), [(max(dt, 0.0), v) for v in dx])
+        assert np.array_equal(report.stationary_values, want)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_refused(self, monkeypatch, dt):
+        def unreachable(*args, **kw):
+            raise AssertionError("no band integral for a refused sweep")
+
+        monkeypatch.setattr(kernels, "_stationary_bands", unreachable)
+        monkeypatch.setattr(kernels, "_lattice_sums", unreachable)
+        with pytest.raises(ValueError, match="time coordinate must be finite"):
+            relaxation_sweep(LAT2, [(0.5, 0), (dt, 1)], [1.0])
+
+    @pytest.mark.parametrize("a,dt", [(2, 0.5), (5, -1.0), (6, 0.0)])
     def test_lattice_values_are_stationary_plus_remainder(self, a, dt):
         lat = LatticeSpec(a)
         dx = np.arange(-2, 7)
