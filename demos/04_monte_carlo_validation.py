@@ -1,12 +1,16 @@
 """Two Monte Carlo estimators cross-validate the analytic kernels.
 
 Expectations of the conditioned process can be sampled from plain
-independent walks in two very different ways: keep only paths that stay
-ordered up to a horizon T and weight by the Vandermonde ratio
-h(V(T))/h(u), or keep every path and weight by the determinant of the
-site martingales at T (signed weights).  Both must agree with each other
-and with the kernel determinants; the absorbed-path weight must average
-to zero by antisymmetry.
+independent walks in two ways: keep only paths that stay ordered up to a
+horizon T and weight by the Vandermonde ratio h(V(T))/h(u), or keep every
+path and weight by the determinant det[M_{u_k}(T, V_j(T))] of the site
+martingales at T (signed weights).  The martingale polynomials m_n are
+monic, so that determinant equals h(V(T))/h(u) exactly: both estimators
+use the same weight and differ only by the survival indicator, and the
+tests and ``selftest`` check the identity on the site martingales, not
+through the Monte Carlo.  Both must agree with each other and with the
+kernel determinants; the absorbed-path weight, their difference, must
+average to zero by antisymmetry.
 """
 
 import time

@@ -247,7 +247,8 @@ def _cmd_simulate(args) -> int:
     sites = tuple(int(v) for v in args.config.split(","))
     config = FiniteConfiguration(sites)
     pts = _parse_at_groups(args.at)
-    if pts.max_time > args.T:
+    # a horizon that is not finite and >= 0 is estimate_many's to refuse
+    if args.T >= 0 and pts.max_time > args.T:
         raise ValueError(f"--at time {pts.max_time} beyond --T {args.T}")
     result = estimate_many(config, [OccupationProduct(pts)], args.T,
                            args.samples, args.seed, args.estimator)[0]

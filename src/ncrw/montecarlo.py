@@ -1,15 +1,20 @@
 """Monte Carlo cross-validation of the analytic kernels.
 
-Two independent estimators express expectations of the noncolliding walk
-through plain independent walks started from the same configuration:
+Two estimators express expectations of the noncolliding walk through
+plain independent walks started from the same configuration:
 
 * h-transform: weight surviving paths (no ordering violation up to the
   horizon T) by the Vandermonde ratio h(V(T))/h(u);
-* martingale determinant: weight *all* paths by det of the site martingales
-  at T - signed weights, no conditioning.
+* martingale determinant: weight *all* paths by det[M_{u_k}(T, V_j(T))]
+  of the site martingales at T - signed weights, no conditioning.
 
-Both give unbiased estimates of the same quantities and must agree with
-each other and with the kernel determinants within statistical error.
+The backward heat operator maps x^n to the monic martingale polynomial
+m_n(T, x), so it is unit upper-triangular on polynomials and
+det[M_{u_k}(T, v_j)] = h(v)/h(u) at every T: both estimators use the
+weight ``vandermonde_ratio`` and differ only by the survival indicator.
+Both are unbiased for the same quantities, since the absorbed-path weight
+that separates them averages to zero.  Tests and ``selftest`` check the
+identity on the site martingales, not through the Monte Carlo.
 
 Samples are drawn in blocks of ``BLOCK_SIZE``: block b holds samples
 b*BLOCK_SIZE onwards and draws from its own generator seeded by
@@ -27,7 +32,7 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from .correlations import MultiTimePointSet
-from .martingales import FiniteConfiguration, site_martingale_rows
+from .martingales import FiniteConfiguration
 
 BLOCK_SIZE = 2048
 
@@ -221,29 +226,16 @@ class _Moments:
         return EstimatorResult(mean, se, n, effective_samples)
 
 
-def _determinant_weight(config: FiniteConfiguration, t: float,
-                        positions: np.ndarray) -> np.ndarray:
-    """det of the site-martingale rows at the final sites, per sample: one
-    batch of rows over the distinct final sites of the block (found by
-    sorting, not np.unique, whose first call imports numpy.ma)."""
-    sites = np.sort(positions, axis=None)
-    new = np.ones(sites.size, dtype=bool)
-    new[1:] = sites[1:] != sites[:-1]
-    sites = sites[new]
-    m = site_martingale_rows(config, t, sites)[0][
-        np.searchsorted(sites, positions)]
-    if m.shape[1] == 1:
-        return m[:, 0, 0]
-    if m.shape[1] == 2:
-        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    return np.linalg.det(m)
-
-
-def _validate(n_samples: int, seed: int) -> None:
+def _validate(T: float, n_samples: int, seed: int) -> float:
+    # the horizon first: a bad one is not reported as a time beyond it
+    T = float(T)
+    if not 0 <= T < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {T}")
     if n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     if seed < 0 or seed != int(seed):
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return T
 
 
 def estimate_many(config: FiniteConfiguration,
@@ -252,14 +244,17 @@ def estimate_many(config: FiniteConfiguration,
                   estimator: str = "h") -> list[EstimatorResult]:
     """Estimate several functionals from one shared sample sweep.
 
-    ``estimator="h"``: conditioned-path weight 1(no collision up to T) *
-    h(V(T))/h(u).  ``estimator="dmr"``: determinant of site martingales at
-    T over unconditioned paths (signed weights).
+    Each sample path V is weighted by w = h(V(T))/h(u), the Vandermonde
+    ratio.  ``estimator="h"``: conditioned-path weight 1(no collision up
+    to T) * w.  ``estimator="dmr"``: det[M_{u_k}(T, V_j(T))] of the site
+    martingales at T over unconditioned paths (signed weights), which is w
+    itself: the martingale polynomials are monic, so the determinant is
+    h(V(T))/h(u) at every T.  The two differ only by the survival
+    indicator.
     """
     if estimator not in ("h", "dmr"):
         raise ValueError(f"estimator must be 'h' or 'dmr', got {estimator!r}")
-    _validate(n_samples, seed)
-    T = float(T)
+    T = _validate(T, n_samples, seed)
     query_times = sorted({t for f in functionals for t in f.times})
     if query_times and query_times[-1] > T:
         raise ValueError(f"functional time {query_times[-1]} beyond horizon {T}")
@@ -271,11 +266,9 @@ def estimate_many(config: FiniteConfiguration,
     weighted = 0
     for block in WalkBlock.sweep(config, T, n_samples, seed):
         final = block.positions(T)
+        w = vandermonde_ratio(final, u)
         if estimator == "h":
-            w = np.where(block.exit_times() <= T, 0.0,
-                         vandermonde_ratio(final, u))
-        else:
-            w = _determinant_weight(config, T, final)
+            w = np.where(block.exit_times() <= T, 0.0, w)
         weights.add(np.abs(w))
         weighted += int(np.count_nonzero(w))
         positions = {t: final if t == T else block.positions(t)
@@ -294,8 +287,7 @@ def absorbed_weight_mean(config: FiniteConfiguration, T: float,
     term exactly, which is what makes the unconditioned determinant
     estimator equal the conditioned one.
     """
-    _validate(n_samples, seed)
-    T = float(T)
+    T = _validate(T, n_samples, seed)
     moments = _Moments()
     weighted = 0
     for block in WalkBlock.sweep(config, T, n_samples, seed):

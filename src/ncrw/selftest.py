@@ -112,7 +112,8 @@ def check_martingale_identities() -> CheckResult:
 
 
 def check_lagrange_determinant_identity() -> CheckResult:
-    """h(z)/h(u) equals det of the Lagrange basis matrix, random instances."""
+    """h(z)/h(u) equals det[M_{u_k}(t, z_j)] of the site martingales for
+    every t (the Lagrange basis matrix at t = 0), random instances."""
     started = time.perf_counter()
     rng = np.random.default_rng(20240)
     worst = 0.0
@@ -122,8 +123,9 @@ def check_lagrange_determinant_identity() -> CheckResult:
         z = rng.choice(np.arange(-10, 11), size=n, replace=False)
         config = FiniteConfiguration(tuple(int(v) for v in u))
         ratio = float(vandermonde_ratio(z, u))
-        det = float(np.linalg.det(site_martingale_rows(config, 0.0, z)[0]))
-        worst = max(worst, abs(det - ratio) / abs(ratio))
+        for t in (0.0, 0.5, 1.0, 2.0, 4.0):
+            det = np.linalg.det(site_martingale_rows(config, t, z)[0])
+            worst = max(worst, abs(float(det) - ratio) / abs(ratio))
     return _finish("lagrange-determinant-identity", started, worst <= 1e-10,
                    f"max relative residual {worst:.2e} (tol 1e-10)")
 

@@ -14,7 +14,10 @@ exit probabilities, per-sample walk paths with a jump-by-jump
 exit-time loop as the reference for the block sampler, the block exit
 scan by one three-key lexsort, and Gauss-Legendre refinement with one
 integrand call per level.  The site-martingale Taylor rows are also
-kept in their (y, k, power) layout, built on strided power slices.
+kept in their (y, k, power) layout, built on strided power slices.  The
+dmr weight is kept as the determinant of site-martingale rows at the
+final sites, and Monte Carlo means and ESS as exact rationals over the
+package's own sampled blocks.
 It also holds small functions the package does not export, kept as
 references for the tests: single transition probabilities, the scalar
 Lagrange basis, signed Bessel values, the characteristic function,
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -679,6 +683,38 @@ def exit_times_lexsort(block) -> np.ndarray:
     earliest = np.diff(hit_sample, prepend=-1) != 0
     exits[hit_sample[earliest]] = block.times[order][hit[earliest]]
     return exits
+
+
+def determinant_weight(config: FiniteConfiguration, t: float,
+                       positions: np.ndarray) -> np.ndarray:
+    """det[M_{u_k}(t, V_j)] of the site martingales at the final sites, per
+    sample: the dmr weight by the determinant route, with rows from
+    ``site_martingale_row_loop`` at each distinct final site.  In exact
+    arithmetic it equals ``vandermonde_ratio(positions, config.sites)``."""
+    sites, index = np.unique(positions, return_inverse=True)
+    rows = np.array([site_martingale_row_loop(config, t, y)[0]
+                     for y in sites.tolist()])
+    return np.linalg.det(rows[index.reshape(positions.shape)])
+
+
+def estimate_exact(blocks, functional) -> tuple[Fraction, Fraction]:
+    """The mean and ESS of the dmr estimator in exact rationals over the
+    same sampled blocks: Fraction Vandermonde weights h(V(T))/h(u) and
+    exact sums of f*w, |w| and w^2."""
+    n, s_fw, s_abs, s_sq = 0, Fraction(0), Fraction(0), Fraction(0)
+    for block in blocks:
+        u, T = block.config.sites, block.horizon
+        values = functional.evaluate(
+            {t: block.positions(t) for t in (*functional.times, T)})
+        for v, f in zip(block.positions(T).tolist(), values.tolist()):
+            w = math.prod((Fraction(v[k] - v[j], u[k] - u[j])
+                           for j in range(len(u))
+                           for k in range(j + 1, len(u))), start=Fraction(1))
+            s_fw += Fraction(f) * w
+            s_abs += abs(w)
+            s_sq += w * w
+        n += block.n
+    return s_fw / n, s_abs ** 2 / s_sq
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -21,8 +22,8 @@ from ncrw.cli import (_emit_csv, _emit_json, _fmt, _load_config_file,
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
 from ncrw.martingales import FiniteConfiguration, LatticeSpec
-from ncrw.montecarlo import BLOCK_SIZE
-from oracles import csv_per_value, lattice_kernel_mpmath
+from ncrw.montecarlo import BLOCK_SIZE, OccupationProduct, WalkBlock
+from oracles import csv_per_value, estimate_exact, lattice_kernel_mpmath
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ncrw" / "schemas"
 
@@ -220,14 +221,15 @@ class TestSimulateCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-1"])
     def test_bad_horizon_usage_error(self, horizon, capsys):
         code, err = usage_error(["simulate", "--config", "0,2",
                                  "--T", horizon, "--at", "0:0",
                                  "--estimator", "h", "--samples", "10"],
                                 capsys)
         assert code == 2
-        assert err.startswith("ncrw: horizon must be finite and >= 0")
+        assert err.startswith("ncrw: horizon must be finite and >= 0, got "
+                              f"{float(horizon)}")
 
     @pytest.mark.parametrize("argv", [
         # no path of the 320 survives to T = 8
@@ -756,7 +758,7 @@ SIMULATE_GOLDEN = [
     (["--config=-1,1,4", "--T", "1.5", "--samples", "320",
       "--estimator", "dmr", "--at", "0.75:1,4", "--seed", "12"],
      "0.28354166666666664,0.041087668287789363,"
-     "133.68529661360276,0.31340207274316961,"
+     "133.68529661360273,0.31340207274316961,"
      "-0.72674861633306753\n"),
     (["--config=-3,0,1,4,6", "--T", "0.75", "--samples", "320",
       "--estimator", "h", "--at", "0.25:0,1", "--at", "0.5:4",
@@ -768,7 +770,7 @@ SIMULATE_GOLDEN = [
       "--estimator", "dmr", "--at", "0.25:0,1", "--at", "0.5:4",
       "--seed", "13"],
      "0.39400628306878305,0.068388770303376922,"
-     "83.529451259006549,0.47488451459102426,"
+     "83.529451259006564,0.47488451459102426,"
      "-1.182624444970428\n"),
     (["--config=-1,1,4", "--T", "1", "--samples", "4096",
       "--estimator", "h", "--at", "0.5:1,4", "--seed", "5"],
@@ -776,6 +778,8 @@ SIMULATE_GOLDEN = [
      "2005.462328529286,0.43624857643988613,"
      "-1.1661318602730311\n"),
 ]
+
+DMR_GOLDEN = [(a, w) for a, w in SIMULATE_GOLDEN if "dmr" in a]
 
 
 JSON_LEAVES = (st.none() | st.booleans()
@@ -829,3 +833,26 @@ class TestOutputBytes:
     def test_simulate_golden_output(self, argv, want):
         assert run_cli(["simulate", *argv, "--output", "csv"]) == (
             0, "estimate,std_error,ess,analytic_value,z_score\n" + want)
+
+    @pytest.mark.parametrize("argv,want", DMR_GOLDEN,
+                             ids=[f"{a[0]} n={a[4]}" for a, _ in DMR_GOLDEN])
+    def test_simulate_golden_dmr_is_exact(self, argv, want):
+        # the ESS of each dmr line is its exact rational value over the
+        # same samples, correctly rounded; the estimate is within one ulp
+        # of it (the weights are rounded products of pairwise ratios)
+        flat = [part for arg in argv for part in arg.split("=", 1)]
+        opts = {}
+        for key, value in zip(flat[::2], flat[1::2]):
+            opts.setdefault(key, []).append(value)
+        config = FiniteConfiguration(
+            tuple(int(x) for x in opts["--config"][0].split(",")))
+        T = float(opts["--T"][0])
+        groups = tuple((float(t), tuple(int(x) for x in xs.split(",")))
+                       for t, xs in (at.split(":") for at in opts["--at"]))
+        blocks = WalkBlock.sweep(config, T, int(opts["--samples"][0]),
+                                 int(opts["--seed"][0]))
+        mean, ess = estimate_exact(
+            blocks, OccupationProduct(MultiTimePointSet(groups)))
+        estimate, _, got_ess = (float(v) for v in want.split(",")[:3])
+        assert got_ess == float(ess)
+        assert abs(Fraction(estimate) - mean) <= math.ulp(estimate)

@@ -231,6 +231,28 @@ class TestVandermonde:
             assert vandermonde_ratio(v, u) == pytest.approx(det, rel=1e-9,
                                                             abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.lists(st.integers(-30, 30), min_size=1, max_size=6,
+                      unique=True),
+           data=st.data(),
+           t=st.floats(0.0, 4.0))
+    def test_site_martingale_determinant(self, u, data, t):
+        # the backward heat operator is unit upper-triangular on monomials,
+        # so det[M_{u_k}(t, v_j)] = h(v)/h(u) at every t: the identity the
+        # dmr weight rests on.  Within 1e-10 relative, plus the rounding of
+        # an LU whose rows multiply to far more than the determinant (their
+        # product bounds |det|), as when clustered sites u meet final sites
+        # v outside their hull: u = (-12, -11, -10, -7, 0), v = (0, ..., 4)
+        # at t = 0 gives 1.7e-10 relative, 2.7e-22 of that product
+        v = data.draw(st.lists(st.integers(-30, 30), min_size=len(u),
+                               max_size=len(u), unique=True))
+        config = FiniteConfiguration(tuple(sorted(u)))
+        rows = site_martingale_rows(config, t, v)[0]
+        det = np.linalg.det(rows)
+        ratio = float(vandermonde_ratio(v, config.sites))
+        scale = np.prod(np.linalg.norm(rows, axis=1))
+        assert abs(det - ratio) <= 1e-10 * abs(ratio) + 1e-14 * scale
+
 
 def site_martingale(config, k, t, y):
     return float(site_martingale_rows(config, t, [y])[0][0, k])

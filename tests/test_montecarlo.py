@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncrw import montecarlo
 from ncrw.bessel import scaled_bessel_i_all
 from ncrw.correlations import MultiTimePointSet, correlation_function
 from ncrw.kernels import KernelSpec
-from ncrw.martingales import FiniteConfiguration, site_martingale_rows
+from ncrw.martingales import FiniteConfiguration
 from ncrw.montecarlo import (BLOCK_SIZE, OccupationProduct, One, WalkBlock,
                              absorbed_weight_mean, estimate_many,
                              vandermonde_ratio)
 
-from oracles import (WalkPath, ensembles_of_block, exit_time,
-                     exit_times_lexsort, sample_ensemble,
-                     site_martingale_row_loop,
+from oracles import (WalkPath, determinant_weight, ensembles_of_block,
+                     exit_time, exit_times_lexsort, sample_ensemble,
                      survival_probability_jump_chain)
 
 XI = FiniteConfiguration((0, 2))
@@ -271,38 +269,42 @@ class TestEstimators:
             with pytest.raises(ValueError, match="horizon"):
                 estimate_many(XI, [One()], horizon, 10, 1)
 
+    @pytest.mark.parametrize("estimator", ["h", "dmr"])
+    def test_negative_horizon_named_before_query_times(self, estimator):
+        # the query time 0 lies beyond T = -1, but the horizon is at fault
+        at_zero = OccupationProduct(pts((0.0, (0,))))
+        for call in (lambda: estimate_many(XI, [at_zero], -1, 10, 1,
+                                           estimator),
+                     lambda: absorbed_weight_mean(XI, -1, 10, 1)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == \
+                "horizon must be finite and >= 0, got -1.0"
+
 
 class TestDeterminantWeight:
-    def test_one_row_batch_per_block(self, monkeypatch):
-        calls = []
-
-        def spy(config, t, ys):
-            calls.append(len(ys))
-            return site_martingale_rows(config, t, ys)
-
-        monkeypatch.setattr(montecarlo, "site_martingale_rows", spy)
-        estimate_many(FiniteConfiguration((-1, 1, 4)), [One()], 1.0,
-                      2 * BLOCK_SIZE + 7, 3, "dmr")
-        assert len(calls) == 3 and all(n > 1 for n in calls)
+    """The dmr weight h(V(T))/h(u) against the determinant of the site
+    martingales at the final sites, ``oracles.determinant_weight``."""
 
     @pytest.mark.parametrize("sites, T, seed", [
         ((0, 2), 1.0, 9), ((-1, 1, 4), 1.5, 5), ((-3, 0, 1, 4, 6), 0.75, 31)])
-    def test_dmr_bit_identical_to_oracle_rows(self, monkeypatch, sites, T,
-                                              seed):
+    def test_dmr_matches_determinant_route(self, sites, T, seed):
         config = FiniteConfiguration(sites)
         functionals = [One(), OccupationProduct(pts((T / 2, sites[:1])))]
-        got = estimate_many(config, functionals, T, BLOCK_SIZE + 100, seed,
-                            "dmr")
-
-        def oracle_rows(config, t, ys):
-            pairs = [site_martingale_row_loop(config, t, y)
-                     for y in ys.tolist()]
-            return (np.array([r for r, _ in pairs]),
-                    np.array([s for _, s in pairs]))
-
-        monkeypatch.setattr(montecarlo, "site_martingale_rows", oracle_rows)
-        assert got == estimate_many(config, functionals, T,
-                                    BLOCK_SIZE + 100, seed, "dmr")
+        n = BLOCK_SIZE + 100
+        got = estimate_many(config, functionals, T, n, seed, "dmr")
+        blocks = list(WalkBlock.sweep(config, T, n, seed))
+        w = np.concatenate([determinant_weight(config, T, b.positions(T))
+                            for b in blocks])
+        ess = np.abs(w).sum() ** 2 / (w * w).sum()
+        for r, f in zip(got, functionals):
+            fw = w * np.concatenate([
+                f.evaluate({t: b.positions(t) for t in (*f.times, T)})
+                for b in blocks])
+            for a, b in ((r.mean, fw.mean()),
+                         (r.std_error, fw.std(ddof=1) / math.sqrt(n)),
+                         (r.effective_samples, ess)):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 class TestErrorBar:
