@@ -9,8 +9,9 @@ modified Bessel function of the first kind of integer order.  The single
 step transition probability of the continuous-time simple symmetric
 random walk on Z is exactly ``p(t, y|x) = itilde_{|y-x|}(t)``, read from
 one table: ``scaled_bessel_i_all(n, t)[n]`` with n = |y - x|.  Two
-independent evaluation routes (Fourier quadrature and Poissonization of
-the discrete walk) are provided as oracles for it.
+independent evaluation routes are provided as oracles for it: the Fourier
+integral by the package's one quadrature rule (Gauss-Legendre) and
+Poissonization of the discrete walk.
 
 Evaluation strategy: one backward recurrence for the ratios
 I_k / I_{k-1}, which lie in [0, 1), normalized with
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-from .quadrature import periodic_mean
+from .quadrature import gauss_legendre
 
 
 def _check_order_time(n: int, t: float) -> None:
@@ -91,11 +92,12 @@ def truncation_radius(t: float, eps: float) -> int:
 
 
 def transition_probability_quadrature(t: float, x: int, y: int) -> float:
-    """p(t, y|x) as (1/2pi) int_{-pi}^{pi} e^{ik(y-x)} e^{-(1-cos k)t} dk.
+    """p(t, y|x) as (1/pi) int_0^pi cos(k(y-x)) e^{-(1-cos k)t} dk.
 
-    The integrand is entire and 2pi-periodic, so the equally weighted
-    periodic rule converges spectrally; nodes double until successive
-    levels agree to 1e-14.  Independent of the Bessel evaluation path.
+    The integrand is entire, so Gauss-Legendre with node doubling
+    (``quadrature.gauss_legendre``) converges spectrally; nodes double until
+    successive levels agree to 1e-14.  Independent of the Bessel evaluation
+    path.
     """
     _check_order_time(0, t)
     d = abs(int(y) - int(x))
@@ -103,9 +105,7 @@ def transition_probability_quadrature(t: float, x: int, y: int) -> float:
     def integrand(k):
         return np.cos(d * k) * np.exp(-(1.0 - np.cos(k)) * t)
 
-    # resolve the cos(d*k) oscillation from the first level on: coarser
-    # grids alias it onto low harmonics that survive one doubling.
-    return periodic_mean(integrand, n_start=2 * d + 16, tol=1e-14)
+    return gauss_legendre(integrand, 0.0, math.pi, tol=1e-14) / math.pi
 
 
 def transition_probability_poisson(t: float, x: int, y: int) -> float:

@@ -96,10 +96,12 @@ class WalkBlock:
         is a zero of a neighbour gap, which takes at least as many moves
         of that gap as its start width; only samples with such a gap are
         scanned.  Their jumps are taken in (sample, time, walk) order, so
-        jumps at equal times in one sample go in walk order.  Each jump of
-        walk i moves gap i - 1 by +step and gap i by -step; the moves are
-        grouped by (sample, gap) in time order, and each gap is a
-        cumulative sum of its own moves.
+        jumps at equal times in one sample go in walk order.  Row r of a
+        position table holds every walk's displacement after jump r: each
+        jump's step scattered into its walk's column, summed down the rows
+        and restarted at each sample's first jump.  A sample exits at its
+        first row where a neighbour difference equals minus the start gap.
+        Memory is O(candidate jumps x N) per block.
         """
         n_walks = len(self.config)
         exits = np.full(self.n, math.inf)
@@ -114,21 +116,15 @@ class WalkBlock:
         sample, walk = np.divmod(self.owner[jumps], n_walks)
         times = self.times[jumps]
         order = np.lexsort((walk, times, sample))
-        sample, walk = sample[order], walk[order]
-        times, steps = times[order], self.steps[jumps][order]
-        jump = np.arange(order.size)
-        left, right = walk > 0, walk < n_walks - 1
-        rank = np.concatenate((jump[left], jump[right]))
-        gap = np.concatenate((walk[left] - 1, walk[right]))
-        move = np.concatenate((steps[left], -steps[right]))
-        key = sample[rank] * (n_walks - 1) + gap
-        by_gap = np.argsort(key * order.size + rank)
-        key, rank, move = key[by_gap], rank[by_gap], move[by_gap]
-        total = np.cumsum(move)
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        before = np.repeat(total[first] - move[first],
-                           np.diff(np.r_[first, key.size]))
-        hit = np.sort(rank[start_gaps[gap[by_gap]] + total - before == 0])
+        sample, times = sample[order], times[order]
+        moved = np.zeros((order.size, n_walks), dtype=np.int64)
+        moved[np.arange(order.size), walk[order]] = self.steps[jumps][order]
+        # each sample's first row also takes back the moves of the sample
+        # before it, so the running sum restarts there
+        first = np.flatnonzero(np.diff(sample, prepend=-1))
+        moved[first[1:]] -= np.add.reduceat(moved, first, axis=0)[:-1]
+        np.cumsum(moved, axis=0, out=moved)
+        hit = np.flatnonzero((np.diff(moved, axis=1) == -start_gaps).any(axis=1))
         hit_sample = sample[hit]
         earliest = np.diff(hit_sample, prepend=-1) != 0
         exits[hit_sample[earliest]] = times[hit[earliest]]

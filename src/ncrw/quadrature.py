@@ -1,16 +1,12 @@
-"""Adaptive quadrature helpers.
+"""Adaptive quadrature.
 
-Two rules cover every integral in the package:
-
-* equally weighted nodes over a full period (trapezoidal rule, spectrally
-  accurate for smooth periodic integrands),
-* Gauss-Legendre with node doubling for smooth non-periodic integrands
-  (the lattice momentum integrals are entire in the integration variable
-  but not periodic over the integration window).
-
-Both double the node count until two successive levels agree (for
-Gauss-Legendre: each component on its own) and both accept vector-valued
-integrands (shape ``(n_nodes, ...)`` -> integral of shape ``(...)``).
+One rule covers every integral in the package: Gauss-Legendre with node
+doubling.  The integrands (the transition law's Fourier integral, the
+sine-kernel bands and the lattice momentum integrals) are entire in the
+integration variable, so the rule converges spectrally on any interval,
+periodic or not.  The node count doubles until two successive levels
+agree, each component on its own, and vector-valued integrands are
+accepted (shape ``(n_nodes, ...)`` -> integral of shape ``(...)``).
 """
 
 from __future__ import annotations
@@ -54,29 +50,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
-def periodic_mean(f, *, n_start: int = 16, tol: float = 1e-13) -> float:
-    """Mean value (1/2pi) * integral over [-pi, pi) of a 2pi-periodic f.
-
-    ``f`` must accept an ndarray of nodes.  Node count doubles until two
-    successive levels agree to ``tol`` (absolute, relative to max(1, |I|)),
-    up to 2^18 nodes.
-    """
-    if n_start < 4:
-        raise ValueError(f"node count must be >= 4, got {n_start}")
-    n = int(n_start)
-    nodes = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    prev = float(np.mean(f(nodes)))
-    while 2 * n <= 1 << 18:
-        n *= 2
-        nodes = -np.pi + 2.0 * np.pi * np.arange(n) / n
-        cur = float(np.mean(f(nodes)))
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise ConvergenceError("periodic_mean",
-                           f"no convergence to {tol:g} within 2^18 nodes")
-
-
 def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     """Integral of ``f`` over [a, b] by Gauss-Legendre with node doubling.
 
@@ -85,7 +58,8 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     max(1, |I_k|) between successive levels, and keeps the value of the
     first level it passes at, so the rounding noise of the levels that other
     components need cannot fail it.  Levels 32 and 64 are one call of ``f``.
-    Returns a float for scalar integrands, an ndarray otherwise.
+    Returns a float for scalar integrands, an ndarray otherwise; raises
+    ``ValueError`` unless a < b.
 
     Refinement runs from 32 to at most 2048 nodes.  Tolerances are floored
     just above the doubling noise floor, and the node count is capped:
@@ -94,9 +68,6 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     """
     tol = max(tol, 5e-15)
     if b <= a:
-        if b == a:
-            probe = np.asarray(f(np.array([a])))
-            return np.zeros(probe.shape[1:]) if probe.ndim > 1 else 0.0
         raise ValueError(f"empty integration interval [{a}, {b}]")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
@@ -110,19 +81,17 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     vals = np.asarray(f(mid + half * np.concatenate(
         (_leggauss(32)[0], _leggauss(64)[0]))))
     prev = weigh(32, vals[:32].copy(order="K"))
-    cur = weigh(64, vals[32:].copy(order="K"))
-    passed = np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
-    if np.all(passed):
-        return cur if np.ndim(cur) else np.asarray(cur).item()
+    n, cur = 64, weigh(64, vals[32:].copy(order="K"))
     # each column keeps the value of the first level at which it passes
-    n, out, done = 64, np.array(cur), np.array(passed)
-    while 2 * n <= _GAUSS_MAX_NODES:
-        n *= 2
-        prev, cur = cur, weigh(n, np.asarray(f(mid + half * _leggauss(n)[0])))
+    out, done = np.array(cur), np.zeros(np.shape(cur), dtype=bool)
+    while True:
         passed = np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur))
         np.copyto(out, cur, where=passed & ~done)
         done |= passed
         if done.all():
             return out if out.ndim else out.item()
-    raise ConvergenceError("gauss_legendre", f"no convergence to {tol:g} "
-                           f"within {_GAUSS_MAX_NODES} nodes")
+        if 2 * n > _GAUSS_MAX_NODES:
+            raise ConvergenceError("gauss_legendre", f"no convergence to "
+                                   f"{tol:g} within {_GAUSS_MAX_NODES} nodes")
+        n *= 2
+        prev, cur = cur, weigh(n, np.asarray(f(mid + half * _leggauss(n)[0])))

@@ -215,18 +215,18 @@ def check_relaxation() -> CheckResult:
 
 
 def check_stationary_identities() -> CheckResult:
-    """Fourier rewrite of the transition law; sine kernel consistency."""
+    """Fourier rewrite of the transition law on [0, 1] against the Bessel
+    table; sine kernel consistency."""
     started = time.perf_counter()
     worst_rewrite = 0.0
     for t in (0.5, 1.0, 2.0):
         for dx in (0, 1, 2, 5):
-            lhs = transition_probability_quadrature(t, 0, dx)
-
             def integrand(u, dx=dx, t=t):
                 return np.cos(u * math.pi * dx) * \
                     np.exp(-(1.0 - np.cos(u * math.pi)) * t)
 
             rhs = gauss_legendre(integrand, 0.0, 1.0)
+            lhs = float(scaled_bessel_i_all(dx, t)[dx])
             worst_rewrite = max(worst_rewrite, abs(lhs - rhs))
     ns = range(-10, 11)
     exact = all(

@@ -130,6 +130,23 @@ def test_quadrature_node_guard():
         transition_probability_quadrature(-1.0, 0, 0)
 
 
+@pytest.mark.parametrize("d", [30, 100, 300, 1200])
+@pytest.mark.parametrize("t", [1.0, 100.0, 1000.0])
+def test_fourier_route_matches_bessel_table_far_out(d, t):
+    # the Fourier integral at wide displacements and long times, where the
+    # cos(d*k) oscillation needs up to 2048 Gauss-Legendre nodes
+    got = transition_probability_quadrature(t, 0, d)
+    assert abs(got - float(scaled_bessel_i_all(d, t)[d])) <= 1e-14
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.5, 0.5)])
+def test_gauss_legendre_refuses_empty_interval(a, b):
+    calls = []
+    with pytest.raises(ValueError, match="empty integration interval"):
+        quadrature.gauss_legendre(lambda x: calls.append(x) or x, a, b)
+    assert not calls
+
+
 def test_gauss_legendre_stops_at_node_cap(monkeypatch):
     # an integrand no rule of at most 2048 nodes resolves: the refinement
     # must give up at the cap without building a larger node table
