@@ -11,7 +11,7 @@ windows are finite Fredholm determinants.
 import numpy as np
 
 from ncrw import (FiniteConfiguration, KernelSpec, MultiTimePointSet,
-                  TestFunctionSet, correlation_function, density_profile,
+                  correlation_function, density_profile,
                   fredholm_generating_function, kernel_matrix)
 
 config = FiniteConfiguration((0, 2))
@@ -47,6 +47,5 @@ print(f"  ||K@K - K||_max = {np.abs(kt @ kt - kt).max():.2e}, "
 
 print("\nvoid probabilities from the Fredholm determinant (chi = -1):")
 for sites in ((1,), (0, 1), (-1, 1, 3)):
-    tf = TestFunctionSet.from_chi(((0.7, tuple((x, -1.0) for x in sites)),))
-    void = fredholm_generating_function(spec, tf)
+    void = fredholm_generating_function(spec, {(0.7, x): -1.0 for x in sites})
     print(f"  P(window {sites} empty at t=0.7) = {void:.6f}")

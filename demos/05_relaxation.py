@@ -9,7 +9,7 @@ gap decays like ~1/tau.
 """
 
 from ncrw import (KernelSpec, LatticeSpec, lattice_kernel_remainder,
-                  relaxation_sweep, remainder_damping_max, sine_kernel)
+                  relaxation_sweep, sine_kernel)
 
 lattice = LatticeSpec(2)
 print("equal-time lattice kernel vs sine kernel at density 1/2")
@@ -36,9 +36,6 @@ for tau, k in zip(taus_shown, ks):
     r = lattice_kernel_remainder(lattice, tau, 0, tau, 1)
     print(f"  tau={tau:4.0f}: K - K_sin = {k - sine_kernel(0.5, 1):+.3e}, "
           f"remainder = {r:+.3e}")
-
-print(f"\nremainder damping factor max over quadrature nodes: "
-      f"{remainder_damping_max(lattice):.6f} (< 1)")
 
 print("\ntwo-time displacement (dt = 1) relaxes the same way:")
 report2 = relaxation_sweep(lattice, [(1.0, dx) for dx in (0, 1)],

@@ -12,8 +12,7 @@ the relaxation of the lattice process to equilibrium.
 
 from .bessel import (scaled_bessel_i_all, transition_probability_poisson,
                      transition_probability_quadrature, truncation_radius)
-from .correlations import (MultiTimePointSet, TestFunctionSet,
-                           correlation_from_points, correlation_function,
+from .correlations import (MultiTimePointSet, correlation_function,
                            density_profile, fredholm_generating_function,
                            kernel_matrix)
 from .errors import ConvergenceError
@@ -24,16 +23,14 @@ from .martingales import (FiniteConfiguration, LatticeSpec,
 from .montecarlo import (EstimatorResult, OccupationProduct, One, WalkBlock,
                          absorbed_weight_mean, estimate_many,
                          vandermonde_ratio)
-from .relaxation import (RelaxationReport, relaxation_sweep,
-                         remainder_damping_max)
+from .relaxation import RelaxationReport, relaxation_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "MultiTimePointSet", "TestFunctionSet", "correlation_from_points",
-    "correlation_function", "density_profile", "fredholm_generating_function",
-    "kernel_matrix",
+    "MultiTimePointSet", "correlation_function", "density_profile",
+    "fredholm_generating_function", "kernel_matrix",
     "scaled_bessel_i_all", "transition_probability_poisson",
     "transition_probability_quadrature", "truncation_radius",
     "KernelSpec", "StationarySpec", "lattice_kernel_remainder",
@@ -42,6 +39,6 @@ __all__ = [
     "site_martingale_rows",
     "EstimatorResult", "OccupationProduct", "One", "WalkBlock",
     "absorbed_weight_mean", "estimate_many", "vandermonde_ratio",
-    "RelaxationReport", "relaxation_sweep", "remainder_damping_max",
+    "RelaxationReport", "relaxation_sweep",
     "__version__",
 ]

@@ -216,7 +216,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    spec = KernelSpec.parse(args.spec, args.gauge)
+    spec = KernelSpec.parse(args.spec)
     window = _parse_range(args.window)
     rho = density_profile(spec, args.t, window, tol=args.tol_quad).tolist()
     if args.output == "json":
@@ -230,7 +230,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_correlation(args) -> int:
-    spec = KernelSpec.parse(args.spec, args.gauge)
+    spec = KernelSpec.parse(args.spec)
     pts = _parse_at_groups(args.at)
     value = correlation_function(spec, pts, tol=args.tol_quad)
     if args.output == "csv":
@@ -349,7 +349,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     d = sub.add_parser("density", parents=[common],
                        help="one-point correlation over a site window")
     d.add_argument("--spec", required=True)
-    d.add_argument("--gauge", choices=("prob", "paper"), default="prob")
     d.add_argument("--t", type=float, required=True)
     d.add_argument("--window", required=True, metavar="LO:HI")
     d.set_defaults(handler=_cmd_density)
@@ -357,7 +356,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     c = sub.add_parser("correlation", parents=[common],
                        help="multi-time correlation determinant")
     c.add_argument("--spec", required=True)
-    c.add_argument("--gauge", choices=("prob", "paper"), default="prob")
     c.add_argument("--at", action="append", required=True,
                    metavar="T:X1,X2,...", help="one time group; repeatable")
     c.set_defaults(handler=_cmd_correlation)

@@ -77,6 +77,8 @@ def sine_kernel(rho: float, n: int) -> float:
     """Equal-time equilibrium kernel sin(rho*pi*n) / (pi*n); rho at n = 0."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density must be in (0, 1), got {rho}")
+    if not float(n).is_integer():
+        raise ValueError(f"displacement must be an integer, got {n}")
     n = int(n)
     if n == 0:
         return rho

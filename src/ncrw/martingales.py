@@ -61,6 +61,9 @@ class FiniteConfiguration:
     @classmethod
     def equidistant(cls, a: int, half_width: int) -> "FiniteConfiguration":
         """Sites a*Z intersected with [-half_width, half_width]."""
+        a, half_width = _integers((a, half_width), "spacing and half width")
+        if a < 1:
+            raise ValueError(f"spacing must be >= 1, got {a}")
         k_max = half_width // a
         return cls(tuple(a * k for k in range(-k_max, k_max + 1)))
 
@@ -197,11 +200,11 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
     place, so the work arrays stay below 2^13 floats (for N <= 90) however
     many ys there are; every entry is the same whatever the batch.
     ``ConvergenceError`` when a series weight overflows double precision
-    (from N = 247 sites on at t = 0.5); ``ValueError`` for a non-integral
-    or non-finite y.
+    (from N = 247 sites on at t = 0.5); ``ValueError`` for a t that is not
+    finite and >= 0, or a non-integral or non-finite y.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     ys = np.asarray(ys).reshape(-1)
     if ys.dtype.kind not in "iu":
         bad = ~np.isfinite(ys.astype(float)) | (ys != np.round(ys))

@@ -18,25 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .kernels import LatticeSpec, remainder_branches
-from .quadrature import _leggauss
-
-
-def remainder_damping_max(lattice: LatticeSpec) -> float:
-    """Largest damping factor exp(cos(theta/a) - cos(lam/a)) on the shifts.
-
-    Sampled on 256 Gauss-Legendre nodes over lam in [-pi, pi]; strictly
-    below 1 on every branch, which is what forces the remainder to die out
-    under time shifts.
-    """
-    a = lattice.a
-    worst = 0.0
-    lam = math.pi * _leggauss(256)[0]
-    for m, _ in remainder_branches(lattice):
-        theta = 2.0 * math.pi * m - lam
-        damp = np.exp(np.cos(theta / a) - np.cos(lam / a))
-        worst = max(worst, float(damp.max()))
-    return worst
+from .kernels import LatticeSpec
 
 
 @dataclass(frozen=True)

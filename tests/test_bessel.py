@@ -125,6 +125,27 @@ def test_three_routes_agree(t):
         assert b == pytest.approx(c, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [700.0, 709.0, 740.0, 750.0, 1000.0])
+def test_poisson_route_where_e_to_minus_t_underflows(t):
+    # e^{-t} is subnormal past t ~ 708 and 0 past t ~ 745
+    table = scaled_bessel_i_all(5, t)
+    for d in (0, 5):
+        assert transition_probability_poisson(t, 0, d) == pytest.approx(
+            table[d], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("t,d", [(0.5, 30), (1.0, 40), (10.0, 60)])
+def test_poisson_route_relative_far_out(t, d):
+    # terms far below 1e-18: the sum must not stop before j reaches d
+    assert transition_probability_poisson(t, 0, d) == pytest.approx(
+        scaled_bessel_i_all(d, t)[d], rel=1e-12, abs=0)
+
+
+def test_poisson_route_refuses_beyond_its_domain():
+    with pytest.raises(ValueError, match="5001"):
+        transition_probability_poisson(5001.0, 0, 0)
+
+
 def test_quadrature_node_guard():
     with pytest.raises(ValueError):
         transition_probability_quadrature(-1.0, 0, 0)

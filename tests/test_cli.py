@@ -171,16 +171,21 @@ class TestDensityCommand:
 
 
 class TestCorrelationCommand:
-    def test_json_validates_and_is_gauge_free(self):
+    def test_json_validates_and_is_gauge_free(self, capsys):
         argv = ["correlation", "--spec", "finite:0,2",
                 "--at", "0.5:0", "--at", "1.0:1,2"]
         code, out = run_cli(argv)
         assert code == 0
         doc = json.loads(out)
         validate(doc, "correlation.json")
-        code2, out2 = run_cli(argv + ["--gauge", "paper"])
-        assert json.loads(out2)["value"] == pytest.approx(doc["value"],
-                                                          rel=1e-10)
+        # a determinant does not see the gauge, so the command has no --gauge
+        paper = correlation_function(KernelSpec(FiniteConfiguration((0, 2)),
+                                                "paper"),
+                                     MultiTimePointSet(((0.5, (0,)),
+                                                        (1.0, (1, 2)))))
+        assert paper == pytest.approx(doc["value"], rel=1e-10)
+        code, err = usage_error(argv + ["--gauge", "paper"], capsys)
+        assert code == 2 and "--gauge" in err
 
     def test_lattice_large_backward_lag(self):
         # the 2x2 determinant of the 40-digit lattice kernel at lag 40

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ncrw.correlations import (MultiTimePointSet, correlation_from_points,
-                               correlation_function, density_profile,
-                               fredholm_generating_function, kernel_matrix)
-from ncrw.correlations import TestFunctionSet as ChiSet
-from ncrw.kernels import KernelSpec, StationarySpec
-from ncrw.martingales import FiniteConfiguration, LatticeSpec
+from ncrw.correlations import (MultiTimePointSet, correlation_function,
+                               density_profile, fredholm_generating_function,
+                               kernel_matrix)
+from ncrw.kernels import KernelSpec, StationarySpec, sine_kernel
+from ncrw.martingales import (FiniteConfiguration, LatticeSpec,
+                              site_martingale_rows)
 
 XI = FiniteConfiguration((0, 2))
 SPEC = KernelSpec(XI)
@@ -17,6 +17,24 @@ SPEC = KernelSpec(XI)
 
 def pts(*groups):
     return MultiTimePointSet(tuple(groups))
+
+
+def det_k(spec, points):
+    return float(np.linalg.det(kernel_matrix(spec, points)))
+
+
+def subset_expansion(spec, chi):
+    # det(I + K chi) expanded over subsets of the support, each weighted by
+    # its product of chi values
+    keys = list(chi)
+    full = kernel_matrix(spec, keys)
+    series = 0.0
+    for r in range(len(keys) + 1):
+        for idx in itertools.combinations(range(len(keys)), r):
+            weight = math.prod(chi[keys[i]] for i in idx)
+            det = float(np.linalg.det(full[np.ix_(idx, idx)])) if idx else 1.0
+            series += weight * det
+    return series
 
 
 class TestMultiTimePointSet:
@@ -53,12 +71,12 @@ class TestCorrelationFunction:
 
     def test_permutation_invariance(self):
         points = [(0.5, 0), (0.5, 1), (1.0, 2), (1.0, -1)]
-        base = correlation_from_points(SPEC, points)
+        base = det_k(SPEC, points)
         rng = np.random.default_rng(3)
         for _ in range(5):
             perm = rng.permutation(len(points))
             shuffled = [points[i] for i in perm]
-            assert correlation_from_points(SPEC, shuffled) == pytest.approx(
+            assert det_k(SPEC, shuffled) == pytest.approx(
                 base, rel=1e-12, abs=1e-15)
 
     def test_gauge_independence(self):
@@ -101,11 +119,11 @@ class TestDensityProfile:
 
 class TestFredholm:
     def test_empty_tests(self):
-        assert fredholm_generating_function(SPEC, ChiSet(())) == 1.0
+        assert fredholm_generating_function(SPEC, {}) == 1.0
 
     def test_void_probability_at_time_zero(self):
-        hit = ChiSet.from_chi(((0.0, ((0, -1.0), (1, -1.0))),))
-        miss = ChiSet.from_chi(((0.0, ((1, -1.0), (3, -1.0))),))
+        hit = {(0.0, 0): -1.0, (0.0, 1): -1.0}
+        miss = {(0.0, 1): -1.0, (0.0, 3): -1.0}
         assert fredholm_generating_function(SPEC, hit) == pytest.approx(0.0,
                                                                         abs=1e-14)
         assert fredholm_generating_function(SPEC, miss) == pytest.approx(1.0,
@@ -114,18 +132,13 @@ class TestFredholm:
     def test_subset_expansion_oracle(self):
         chi = {(0.7, -1): 0.25, (0.7, 0): -0.4, (0.7, 2): 0.3,
                (1.4, 0): -0.15, (1.4, 1): 0.2}
-        groups = {}
-        for (t, x), c in chi.items():
-            groups.setdefault(t, []).append((x, c))
-        tf = ChiSet.from_chi(tuple((t, tuple(v))
-                                            for t, v in sorted(groups.items())))
-        got = fredholm_generating_function(SPEC, tf)
+        got = fredholm_generating_function(SPEC, chi)
         keys = list(chi)
         brute = 0.0
         for r in range(len(keys) + 1):
             for sub in itertools.combinations(keys, r):
                 weight = math.prod(chi[k] for k in sub)
-                brute += weight * correlation_from_points(SPEC, list(sub))
+                brute += weight * det_k(SPEC, list(sub))
         assert got == pytest.approx(brute, abs=1e-10)
 
     def test_expansion_matches_correlation_series(self):
@@ -133,8 +146,8 @@ class TestFredholm:
         window = (-1, 0, 1, 2)
         t = 0.8
         c_val = 0.35
-        tf = ChiSet.from_chi(((t, tuple((x, c_val) for x in window)),))
-        got = fredholm_generating_function(SPEC, tf)
+        got = fredholm_generating_function(SPEC, {(t, x): c_val
+                                                  for x in window})
         series = 0.0
         for r in range(len(window) + 1):
             for sub in itertools.combinations(window, r):
@@ -148,40 +161,36 @@ class TestFredholm:
         chi = {(0.5, x): c for x, c in zip((-2, -1, 0, 1), (0.3, -0.25, 0.4, 0.2))}
         chi.update({(1.1, x): c for x, c in zip((0, 1, 2, 3),
                                                 (-0.35, 0.15, 0.28, -0.1))})
-        tf = ChiSet.from_chi((
-            (0.5, tuple((x, c) for (t, x), c in chi.items() if t == 0.5)),
-            (1.1, tuple((x, c) for (t, x), c in chi.items() if t == 1.1)),
-        ))
-        got = fredholm_generating_function(SPEC, tf)
-        keys = list(chi)
-        full = kernel_matrix(SPEC, keys)
-        series = 0.0
-        for r in range(len(keys) + 1):
-            for idx in itertools.combinations(range(len(keys)), r):
-                weight = math.prod(chi[keys[i]] for i in idx)
-                sub = full[np.ix_(idx, idx)]
-                det = float(np.linalg.det(sub)) if idx else 1.0
-                series += weight * det
-        assert got == pytest.approx(series, abs=1e-9)
+        got = fredholm_generating_function(SPEC, chi)
+        assert got == pytest.approx(subset_expansion(SPEC, chi), abs=1e-9)
+
+    def test_chi_below_minus_one(self):
+        # chi = -2 is a weight like any other: it must not be clamped to -1
+        spec = KernelSpec(FiniteConfiguration((0, 2, 5)))
+        chi = {(0.5, 0): -2.0, (0.5, 1): 0.3, (0.5, 3): -0.4, (0.5, 5): 0.2,
+               (1.2, -1): 0.25, (1.2, 2): -0.6, (1.2, 4): 0.1, (1.2, 6): 0.5}
+        got = fredholm_generating_function(spec, chi)
+        assert got == pytest.approx(subset_expansion(spec, chi), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_chi(self, bad):
+        with pytest.raises(ValueError, match="chi values must be finite"):
+            fredholm_generating_function(SPEC, {(0.5, 0): 0.1, (0.5, 1): bad})
 
     def test_support_guard(self):
-        big = ChiSet.from_chi(
-            ((0.5, tuple((x, 0.1) for x in range(15))),))
-        with pytest.raises(ValueError):
-            fredholm_generating_function(SPEC, big)
+        fredholm_generating_function(SPEC, {(0.5, x): 0.1 for x in range(14)})
+        with pytest.raises(ValueError, match="above guard 14"):
+            fredholm_generating_function(SPEC, {(0.5, x): 0.1
+                                                for x in range(15)})
 
     def test_rejects_non_integer_support(self):
         # 0.5 must not become site 0
         for bad in (0.5, math.nan, -math.inf):
-            with pytest.raises(ValueError, match="integers"):
-                ChiSet(((0.5, ((bad, 0.1), (2, 0.2))),))
-        assert ChiSet(((0.5, ((2.0, 0.1),)),)).groups == ((0.5, ((2, 0.1),)),)
-
-    def test_from_chi_roundtrip(self):
-        tf = ChiSet.from_chi(((0.5, ((0, -1.0), (1, 0.5))),))
-        chi_back = {(t, x): c for t, x, c in tf.chi_points()}
-        assert chi_back[(0.5, 0)] == pytest.approx(-1.0)
-        assert chi_back[(0.5, 1)] == pytest.approx(0.5)
+            with pytest.raises(ValueError, match="integer"):
+                fredholm_generating_function(SPEC, {(0.5, bad): 0.1,
+                                                    (0.5, 2): 0.2})
+        assert fredholm_generating_function(SPEC, {(0.5, 2.0): 0.1}) == \
+            fredholm_generating_function(SPEC, {(0.5, 2): 0.1})
 
 
 class TestKernelMatrix:
@@ -192,3 +201,14 @@ class TestKernelMatrix:
         d = np.diag(m)
         assert np.all(d >= -1e-10)
         assert np.all(d <= 1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: sine_kernel(0.5, 1.5), "1.5"),
+    (lambda: FiniteConfiguration.equidistant(0, 10), "0"),
+    (lambda: FiniteConfiguration.equidistant(1.5, 10), "1.5"),
+    (lambda: site_martingale_rows(XI, math.inf, [0]), "inf"),
+])
+def test_bad_input_raises_value_error_naming_it(call, bad):
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        call()

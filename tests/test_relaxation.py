@@ -9,8 +9,7 @@ from ncrw.kernels import (KernelSpec, StationarySpec, lattice_kernel_remainder,
                           sine_kernel)
 from ncrw.martingales import LatticeSpec
 from ncrw.quadrature import gauss_legendre
-from ncrw.relaxation import (RelaxationReport, relaxation_sweep,
-                             remainder_damping_max)
+from ncrw.relaxation import RelaxationReport, relaxation_sweep
 from oracles import (itilde, lattice_kernel_site_sum, lattice_principal_band,
                      relaxation_gap)
 
@@ -46,10 +45,6 @@ class TestDecomposition:
         want = lattice_principal_band(lat, t - s, y - x) + \
             lattice_kernel_remainder(lat, s, x, t, y)
         assert kl == pytest.approx(want, abs=1e-8)
-
-    def test_damping_strictly_below_one(self):
-        for a in (2, 3, 5):
-            assert remainder_damping_max(LatticeSpec(a)) < 1.0
 
     def test_remainder_decreasing_under_shift(self):
         vals = [abs(lattice_kernel_remainder(LAT2, 1.0 + tau, 0, 2.0 + tau, 1))
