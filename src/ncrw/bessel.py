@@ -112,8 +112,8 @@ def transition_probability_poisson(t: float, x: int, y: int) -> float:
     """p(t, y|x) by Poissonization of the discrete-time simple walk.
 
     sum_j e^{-t} t^j / j! * P(S_j = y - x) with S_j the j-step +-1 walk,
-    P(S_j = d) = C(j, (j+d)/2) / 2^j for j >= |d|, j = d (mod 2).
-    Binomial masses come from exact integer combinatorics; the Poisson
+    P(S_j = d) = C(j, (j+d)/2) / 2^j for j >= |d|, j = d (mod 2).  Each
+    binomial is an exact integer updated from that of j - 2; the Poisson
     weight is carried as a mantissa and a power of two, so e^{-t} never
     underflows; the outer sum is compensated and stops past j = t once the
     weight drops below 1e-18 of the last term.  Domain 0 <= t <= 5000,
@@ -129,11 +129,12 @@ def transition_probability_poisson(t: float, x: int, y: int) -> float:
     shift = int(t / math.log(2))
     weight = math.exp(shift * math.log(2) - t)
     terms = []
-    j = 0
+    j, binom = 0, 1  # binom = C(j, (j + d) // 2) from j = d on
     while True:
         if j >= d and (j - d) % 2 == 0:
-            terms.append(math.ldexp(
-                weight * (math.comb(j, (j + d) // 2) / (1 << j)), -shift))
+            if j > d:  # C(j, k) from C(j - 2, k - 1), k = (j + d) / 2
+                binom = binom * j * (j - 1) // ((j + d) // 2 * ((j - d) // 2))
+            terms.append(math.ldexp(weight * (binom / (1 << j)), -shift))
         last = terms[-1] if terms else 0.0
         if j > t and math.ldexp(weight, -shift) <= 1e-18 * last:
             return math.fsum(terms)

@@ -70,8 +70,7 @@ def kernel_matrix(spec: KernelSpec, points: Sequence[tuple[float, int]], *,
     balanced matrix still exceeds it.
     """
     n = len(points)
-    pts = np.asarray(points, dtype=float).reshape(n, 2)
-    return spec._evaluate(pts, pts, np.divmod(np.arange(n * n), n),
+    return spec._evaluate(points, points, np.divmod(np.arange(n * n), n),
                           tol).reshape(n, n)
 
 

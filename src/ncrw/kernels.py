@@ -9,10 +9,11 @@ One interface, ``KernelSpec``, tags three kernels with a gauge:
 
 ``KernelSpec.values(ps, qs)`` is the only evaluation: it returns
 K(ps[i], qs[i]) for a whole batch of point pairs, sharing Bessel tables,
-site-martingale rows and momentum quadratures between the entries.
-``kernel_matrix`` takes the same route on its n points and the n^2 pair
-indices, and differs only in how the finite kernel's rounding guard judges
-the batch: as one matrix, after balancing.
+site-martingale rows (once per distinct second point) and momentum
+quadratures between the entries.  ``kernel_matrix`` takes the same route on
+its n points, as given, and the n^2 pair indices, and differs only in how
+the finite kernel's rounding guard judges the batch: as one matrix, after
+balancing.
 
 Each kernel is defined up to a gauge: multiplying K(s,x;t,y) by
 f(t,y)/f(s,x) changes no correlation determinant.  Two conventions are
@@ -43,8 +44,7 @@ import numpy as np
 
 from .bessel import scaled_bessel_i_all
 from .errors import ConvergenceError
-from .martingales import (FiniteConfiguration, LatticeSpec,
-                          site_martingale_rows)
+from .martingales import FiniteConfiguration, LatticeSpec, _site_rows
 from .quadrature import gauss_legendre
 
 GAUGES = ("prob", "paper")
@@ -89,8 +89,7 @@ def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     # the distinct rows of the key columns, as sorted columns (the last
     # column leads), and for every row the index of its distinct row; by
     # sorting, not np.unique, whose first call imports numpy.ma (~1 MB of RSS)
-    order = np.lexsort(columns) if len(columns) > 1 else \
-        columns[0].argsort(kind="stable")
+    order = np.lexsort(columns)
     cols = [c[order] for c in columns]
     new = np.empty(len(order), dtype=bool)
     new[:1] = True
@@ -101,11 +100,12 @@ def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def _bessel_rows(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    # p(t_i, .) at orders[i]: one scaled Bessel table per distinct time
-    (tk,), inverse = _distinct(times)
+    # p(t_i, .) at orders[i]: one scaled Bessel table per distinct time, up
+    # to the largest order of that time; a single time needs no mask
+    keys = set(times.tolist())
     out = np.empty(orders.shape)
-    for k, t in enumerate(tk.tolist()):
-        idx = inverse == k
+    for t in keys:
+        idx = times == t if len(keys) > 1 else slice(None)
         n = orders[idx]
         out[idx] = scaled_bessel_i_all(int(n.max()), t)[n]
     return out
@@ -119,26 +119,24 @@ def _finite_sums(config: FiniteConfiguration, s, x, t, y, i, j
                  ) -> tuple[np.ndarray, np.ndarray]:
     # sum_k p(s, x|u_k) M_k(t, y) - 1(s>t) p(s-t, x|y) for every entry
     # (s, x)[i], (t, y)[j] of the index arrays (or slices) i, j, with an
-    # estimate of its rounding error: one Bessel table per distinct s and one
-    # site_martingale_rows call per distinct t, over that t's distinct ys.
+    # estimate of its rounding error: one Bessel table per distinct s, and
+    # the site-martingale rows of the second points as passed, built once
+    # per distinct t over that t's points (one call when there is one t).
     # spread[k] is the sum of absolute series terms of M_k, so
     # eps * sum_k p(s, x|u_k) spread_k estimates the rounding error of each
     # entry (the "bound" B the guard judges).
     weights = _bessel_rows(s, np.abs(x[:, None] - np.asarray(config.sites)))[i]
-    (yk, tk), inverse = _distinct(y, t)
-    rows, spreads = np.empty((2, len(yk), len(config)))
-    # the keys are sorted by t: each distinct t is one slice of them
-    cuts = [0, *(np.flatnonzero(tk[1:] != tk[:-1]) + 1).tolist(), len(tk)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        rows[lo:hi], spreads[lo:hi] = site_martingale_rows(
-            config, float(tk[lo]), yk[lo:hi])
-    inverse = inverse[j]
-    out = np.einsum("ij,ij->i", weights, rows[inverse])
+    times = set(t.tolist())
+    rows, spreads = np.empty((2, len(y), len(config)))
+    for tv in times:
+        at = t == tv if len(times) > 1 else slice(None)
+        rows[at], spreads[at] = _site_rows(config, tv, y[at])
+    out = np.einsum("ij,ij->i", weights, rows[j])
     s, x, t, y = s[i], x[i], t[j], y[j]
     back = s > t
     if back.any():
         out[back] -= _bessel_rows(s[back] - t[back], np.abs(x[back] - y[back]))
-    return out, _EPS * np.einsum("ij,ij->i", weights, spreads[inverse])
+    return out, _EPS * np.einsum("ij,ij->i", weights, spreads[j])
 
 
 def _balance(a: np.ndarray) -> np.ndarray:
@@ -345,8 +343,9 @@ class KernelSpec:
         the stationary part is minus the complementary band int_rho^1,
         which holds the backward term.  ``tol`` is the quadrature
         tolerance.  The "paper" gauge multiplies by e^{s-t}.  Work shared
-        between entries (Bessel tables, martingale rows, quadratures) is
-        done once per batch, so callers pass every entry they need at once.
+        between entries (Bessel tables, quadratures, and martingale rows,
+        built once per distinct second point) is done once per batch, so
+        callers pass every entry they need at once.
         Each band (s < t, s > t) is one quadrature over its distinct
         (t - s, y - x) columns: equal columns give equal values.  Each column
         keeps the value of the first level it passes at, on its own scale.
@@ -371,7 +370,8 @@ class KernelSpec:
         # qs[j]) of the index arrays (i, j) = pairs, the row-major square
         # matrix of kernel_matrix, whose finite rounding guard is judged
         # after balancing (see _rounding_guard).  Validation, Bessel rows
-        # and martingale rows run on the points, not on the entries.
+        # and martingale rows run on the points, not on the entries;
+        # ``values`` dedupes its second points, which repeat in a grid.
         s, x = _split_points(ps)
         t, y = (s, x) if qs is ps else _split_points(qs)
         i, j = pairs or (slice(None), slice(None))
@@ -381,7 +381,8 @@ class KernelSpec:
             return np.zeros(0)
         variant = self.variant
         if isinstance(variant, FiniteConfiguration):
-            out, bound = _finite_sums(variant, s, x, t, y, i, j)
+            (yq, tq), jq = ((y, t), j) if pairs else _distinct(y, t)
+            out, bound = _finite_sums(variant, s, x, tq, yq, i, jq)
             _rounding_guard(variant, out, bound, t[j], pairs is not None)
         elif isinstance(variant, LatticeSpec):
             # the principal band (shift m = 0) is the stationary kernel at

@@ -210,9 +210,14 @@ def site_martingale_rows(config: FiniteConfiguration, t: float,
         bad = ~np.isfinite(ys.astype(float)) | (ys != np.round(ys))
         if bad.any():
             raise ValueError(f"final sites must be integers, got {ys[bad][0]!r}")
-    ys = ys.astype(np.int64, copy=False)
+    return _site_rows(config, float(t), ys.astype(np.int64, copy=False))
+
+
+def _site_rows(config: FiniteConfiguration, t: float,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # site_martingale_rows on a checked time and int64 ys
     n = len(config)
-    weights = _series_weights(n, float(t))
+    weights = _series_weights(n, t)
     rows = np.empty((len(ys), n))
     spreads = np.empty((len(ys), n))
     block = max(1, _ROW_BLOCK_FLOATS // (n * n))

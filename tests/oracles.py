@@ -123,6 +123,27 @@ def poissonized_walk_probability(t: float, d: int, *, eps: float = 1e-20) -> flo
     return math.fsum(terms)
 
 
+def poisson_route_comb(t: float, d: int) -> float:
+    """``bessel.transition_probability_poisson(t, 0, d)`` with every
+    binomial built afresh by ``math.comb``: the same terms, the same
+    rounding, so the same float."""
+    d = abs(d)
+    shift = int(t / math.log(2))
+    weight = math.exp(shift * math.log(2) - t)
+    terms = []
+    j = 0
+    while True:
+        if j >= d and (j - d) % 2 == 0:
+            terms.append(math.ldexp(
+                weight * (math.comb(j, (j + d) // 2) / (1 << j)), -shift))
+        last = terms[-1] if terms else 0.0
+        if j > t and math.ldexp(weight, -shift) <= 1e-18 * last:
+            return math.fsum(terms)
+        j += 1
+        weight, e = math.frexp(weight * (t / j))
+        shift -= e
+
+
 def survival_probability_jump_chain(u: tuple[int, ...], horizon: float,
                                     n_samples: int, seed: int) -> tuple[float, float]:
     """P(no ordering violation up to the horizon) by simulating the

@@ -10,7 +10,7 @@ from ncrw.bessel import (scaled_bessel_i_all, transition_probability_poisson,
 
 from ncrw.errors import ConvergenceError
 
-from oracles import (characteristic_function, itilde,
+from oracles import (characteristic_function, itilde, poisson_route_comb,
                      poissonized_walk_probability, scaled_bessel_series,
                      signed_bessel_i)
 
@@ -125,7 +125,15 @@ def test_three_routes_agree(t):
         assert b == pytest.approx(c, abs=1e-12)
 
 
-@pytest.mark.parametrize("t", [700.0, 709.0, 740.0, 750.0, 1000.0])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 3.7, 20.0, 100.0, 700.0, 1000.0])
+def test_poisson_route_bit_equal_to_fresh_binomials(t):
+    # the binomial carried from term to term is exact: the same floats
+    for d in (0, 1, 2, 5, 30, 101):
+        assert transition_probability_poisson(t, 0, d) == \
+            poisson_route_comb(t, d)
+
+
+@pytest.mark.parametrize("t", [700.0, 709.0, 740.0, 750.0, 1000.0, 5000.0])
 def test_poisson_route_where_e_to_minus_t_underflows(t):
     # e^{-t} is subnormal past t ~ 708 and 0 past t ~ 745
     table = scaled_bessel_i_all(5, t)

@@ -700,8 +700,7 @@ class TestBatchedValues:
         st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.5, 5e-324, 4.0]),
                  min_size=1, max_size=40)))
     def test_distinct_one_column_matches_lexsort(self, keys):
-        # the one-column path (stable argsort) against the multi-column
-        # path (lexsort) on the same column twice: bit-identical
+        # one key column against the same column twice: bit-identical
         keys = np.array(keys)
         (one,), inverse = kernels._distinct(keys)
         (first, second), inverse2 = kernels._distinct(keys, keys)
@@ -712,9 +711,10 @@ class TestBatchedValues:
 
 
 class TestFiniteRowBatching:
-    """``_finite_sums`` makes one ``site_martingale_rows`` call per distinct
-    t; every value and rounding bound equals that of one call per distinct
-    (t, y) (``oracles.finite_sums_per_site``)."""
+    """``_finite_sums`` builds rows once per distinct t, over that t's second
+    points as passed; every value and rounding bound equals that of one
+    ``site_martingale_rows`` call per distinct (t, y)
+    (``oracles.finite_sums_per_site``)."""
 
     CONFIGS = [FiniteConfiguration((0,)), FiniteConfiguration((0, 2, 5)),
                FiniteConfiguration((-9, -7, -6, -3, -1, 0, 2, 3, 5, 8, 9, 12)),
@@ -751,15 +751,19 @@ class TestFiniteRowBatching:
     def test_kernel_matrix_bit_equal(self, config):
         points = [(t, x) for t in (0.25, 1.0, 1.75)
                   for x in range(config.sites[0] - 2, config.sites[-1] + 3, 3)]
-        n = len(points)
-        want = self.assert_matches_oracle(
-            config, [p for p in points for _ in range(n)], points * n)
-        idx = np.arange(n)
-        pairs = (np.repeat(idx, n), np.tile(idx, n))
-        assert np.array_equal(
-            self.assert_matches_oracle(config, points, points, *pairs), want)
-        got = kernel_matrix(KernelSpec(config), points)
-        assert np.array_equal(got.ravel(), want)
+        # kernel_matrix takes its points as given: a repeated point's rows
+        # are built twice, and equal
+        for points in (points, points[:2] + points[-1:] + points[2:]):
+            n = len(points)
+            want = self.assert_matches_oracle(
+                config, [p for p in points for _ in range(n)], points * n)
+            idx = np.arange(n)
+            pairs = (np.repeat(idx, n), np.tile(idx, n))
+            assert np.array_equal(
+                self.assert_matches_oracle(config, points, points, *pairs),
+                want)
+            got = kernel_matrix(KernelSpec(config), points)
+            assert np.array_equal(got.ravel(), want)
 
     def test_block_boundary_bit_equal(self):
         # the ys of t = 1.5 span several blocks of site_martingale_rows
@@ -786,25 +790,39 @@ class TestFiniteRowBatching:
 
     @pytest.fixture
     def row_calls(self, monkeypatch):
-        calls, rows = [], kernels.site_martingale_rows
+        # (t, ys) of every call of the row builder
+        calls, rows = [], kernels._site_rows
 
         def spy(config, t, ys):
-            calls.append(t)
+            calls.append((t, ys.tolist()))
             return rows(config, t, ys)
 
-        monkeypatch.setattr(kernels, "site_martingale_rows", spy)
+        monkeypatch.setattr(kernels, "_site_rows", spy)
         return calls
 
     def test_one_row_call_per_density_window(self, row_calls):
         density_profile(KernelSpec(WIDE), 3.0, range(-44, 45))
-        assert row_calls == [3.0]
+        assert [t for t, _ in row_calls] == [3.0]
 
     def test_one_row_call_per_correlation_time(self, row_calls):
         times = (0.5, 1.0, 2.25, 3.0)
         points = [(t, x) for t in times for x in (-1, 2, 4)]
         np.linalg.det(kernel_matrix(
             KernelSpec(FiniteConfiguration((0, 2, 5))), points))
-        assert sorted(row_calls) == list(times)
+        assert sorted(t for t, _ in row_calls) == list(times)
+        assert all(ys == [-1, 2, 4] for _, ys in row_calls)
+
+    def test_grid_rows_once_per_second_point(self, row_calls):
+        # a W x W kernel grid has W distinct second points: values builds
+        # their rows once each, in one call
+        xs, ys = range(-3, 4), range(-2, 5)
+        ps = [(0.5, x) for x in xs for _ in ys]
+        qs = [(1.25, y) for _ in xs for y in ys]
+        config = FiniteConfiguration((0, 2, 5))
+        got = KernelSpec(config).values(ps, qs)
+        assert row_calls == [(1.25, list(ys))]
+        assert np.array_equal(got, finite_sums_per_site(
+            config, *kernels._split_points(ps), *kernels._split_points(qs))[0])
 
     def test_density_window_memory(self):
         # 89 diagonal entries at N = 21 in blocks of 2^13 // 21^2 = 18 ys:
