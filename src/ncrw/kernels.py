@@ -30,7 +30,8 @@ Shift m = 0 is the principal band term, the stationary kernel at density
 1/a, and is evaluated as that kernel (backward term included); the shifts
 m >= 1 are the aliasing remainder, the whole relaxation gap.  Each
 distinct (s, t, y - x, x mod a) key of a batch is one column of a blocked
-Gauss-Legendre quadrature over every remainder shift at once.
+Gauss-Legendre quadrature over every remainder shift at once; a relaxation
+sweep hands its tau x dx grid to that quadrature in tiles, unsorted.
 """
 
 from __future__ import annotations
@@ -203,46 +204,53 @@ def remainder_branches(lattice: LatticeSpec) -> list[tuple[int, float]]:
     return [(m, 1.0 if 2 * m == a else 2.0) for m in range(1, a // 2 + 1)]
 
 
-def _lattice_sums(lattice: LatticeSpec, s, x, t, y, tol: float) -> np.ndarray:
-    # The aliasing remainder of the folded lattice kernel: per entry the sum
-    # over the remainder_branches (m, w) of
+def _remainder_quadrature(lattice: LatticeSpec, sb, tb, rb, db, si, di,
+                          tol: float) -> np.ndarray:
+    # The aliasing remainder of the folded lattice kernel in one
+    # Gauss-Legendre quadrature: column k is the sum over the
+    # remainder_branches (m, w) of
     #
     #   (w/2*pi*a) int_{-pi}^{pi} cos(2*pi*m*x/a + lam*(y - x)/a)
-    #       * exp(t - s - t*cos(lam/a) + s*cos((2*pi*m - lam)/a)) dlam,
+    #       * exp(t - s - t*cos(lam/a) + s*cos((2*pi*m - lam)/a)) dlam
     #
-    # which depends on (x, y) through (y - x, x mod a) only.  (Shift m = 0,
-    # the principal band, is the stationary kernel at density 1/a and comes
-    # from _stationary_bands.)  Every distinct (s, t, y - x, x mod a) key of
-    # the batch is one column of a vector quadrature, in blocks of
-    # _LATTICE_BLOCK_FLOATS key-shift pairs, which bound the node tables of
-    # a wide batch; keys are ordered by y - x, so a block holds keys of like
-    # oscillation.
+    # at the damping pair (s, t) = (sb, tb)[si[k]] and the wave pair
+    # (x mod a, y - x) = (rb, db)[di[k]].  (Shift m = 0, the principal band,
+    # is the stationary kernel at density 1/a: see _stationary_bands.)  Node
+    # tables are (shift, node, key), so the gathers run on the last axis.
     a = lattice.a
     shifts = remainder_branches(lattice)
-    (r, sk, tk, d), inverse = _distinct(x % a, s, t, y - x)
     m = np.array([v for v, _ in shifts], dtype=float)[:, None, None]
     w = np.array([v for _, v in shifts])[:, None, None] / (2.0 * math.pi * a)
-    per_block = max(1, _LATTICE_BLOCK_FLOATS // len(shifts))
+    phase = 2.0 * math.pi * m * rb / a
+    freq = db / a
+
+    def integrand(lam):
+        lam = lam[:, None]
+        damp = sb * np.cos((2.0 * math.pi * m - lam) / a)
+        damp += tb * (1.0 - np.cos(lam / a)) - sb
+        np.exp(damp, out=damp)
+        wave = np.cos(phase + lam * freq)
+        wave *= w
+        return np.einsum("mnk,mnk->nk", damp[..., si], wave[..., di])
+
+    return gauss_legendre(integrand, -math.pi, math.pi, tol=tol)
+
+
+def _lattice_sums(lattice: LatticeSpec, s, x, t, y, tol: float) -> np.ndarray:
+    # The aliasing remainder of every entry, which depends on (x, y) through
+    # (y - x, x mod a) only: each distinct (s, t, y - x, x mod a) key is one
+    # column of a _remainder_quadrature, in blocks of _LATTICE_BLOCK_FLOATS
+    # key-shift pairs (a // 2 shifts), which bound the node tables of a wide
+    # batch; keys are ordered by y - x, so a block holds keys of like
+    # oscillation.
+    (r, sk, tk, d), inverse = _distinct(x % lattice.a, s, t, y - x)
+    per_block = max(1, _LATTICE_BLOCK_FLOATS // (lattice.a // 2))
     out = np.empty(len(d))
     for lo in range(0, len(d), per_block):
         blk = slice(lo, lo + per_block)
-        # the damping factor depends on (s, t), the wave on (y - x, x mod a)
-        # node tables are (shift, node, key): the gathers run on the last axis
         (sb, tb), si = _distinct(sk[blk], tk[blk])
         (rb, db), di = _distinct(r[blk], d[blk])
-        phase = 2.0 * math.pi * m * rb / a
-        freq = db / a
-
-        def integrand(lam, sb=sb, tb=tb, si=si, phase=phase, freq=freq, di=di):
-            lam = lam[:, None]
-            damp = sb * np.cos((2.0 * math.pi * m - lam) / a)
-            damp += tb * (1.0 - np.cos(lam / a)) - sb
-            np.exp(damp, out=damp)
-            wave = np.cos(phase + lam * freq)
-            wave *= w
-            return np.einsum("mnk,mnk->nk", damp[..., si], wave[..., di])
-
-        out[blk] = gauss_legendre(integrand, -math.pi, math.pi, tol=tol)
+        out[blk] = _remainder_quadrature(lattice, sb, tb, rb, db, si, di, tol)
     return out[inverse]
 
 

@@ -4,9 +4,13 @@ Shifting both time arguments of the lattice kernel by tau and letting tau
 grow drives it to the stationary kernel at density rho = 1/a.  The whole
 gap is carried by the aliasing remainder of the folded kernel (the
 principal band term already *is* the stationary kernel), whose integrand
-carries a damping factor strictly below 1 away from the band edge.  No
-rate is asserted anywhere: the diagnostics record gap tables over a tau
-grid and check monotone trends.
+carries a damping factor strictly below 1 away from the band edge.  The
+diagnostics assert no rate: they record gap tables over a tau grid and
+check monotone trends.  Domain: the remainder follows its leading 1/tau
+term within 8/tau relative, checked up to tau = 8192; then the quadrature
+misses its boundary layer and the gap drops below 1e-13, with no error,
+from tau of about 10.5k on a = 2, 17.9k on a = 3, 42.8k on a = 5 and 103k
+on a = 8.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ def relaxation_sweep(lattice: LatticeSpec,
     stationary value, both in the probability gauge.  The principal band of
     the lattice kernel is the stationary kernel, so it is integrated once
     per displacement, and each lattice cell adds its aliasing remainder to
-    it; the remainders of every cell are one batch.  Both are computed
-    directly on the displacements, validated once here.
+    it.  Each dt's tau x dx grid goes to the remainder quadrature in tiles
+    of at most 512 key-shift pairs, unsorted.  Both are computed directly
+    on the displacements, validated once here.
     """
     taus = tuple(float(v) for v in tau_grid)
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -63,11 +68,22 @@ def relaxation_sweep(lattice: LatticeSpec,
     # dt < 0 puts the first point later: s = tau - dt, t = tau
     s, t, dx = np.maximum(-dt, 0.0), np.maximum(dt, 0.0), dx.astype(np.int64)
     stationary = kernels._stationary_bands(lattice.density, t - s, dx, tol=tol)
-    tau = np.array(taus)[:, None]
-    y = np.tile(dx, len(taus))
-    lattice_vals = stationary + kernels._lattice_sums(
-        lattice, (tau + s).ravel(), np.zeros_like(y), (tau + t).ravel(), y, tol
-    ).reshape(len(taus), len(dx))
+    # tiles of at most per_tile cells, dx-major like _lattice_sums' blocks
+    tau, remainder = np.array(taus), np.empty((len(taus), len(dx)))
+    per_tile = max(1, kernels._LATTICE_BLOCK_FLOATS // (lattice.a // 2))
+    nt = min(len(taus), per_tile)  # taus per tile, then per_tile // nt dx
+    for lag in dict.fromkeys(dt.tolist()) if nt else ():
+        col = np.flatnonzero(dt == lag)
+        for j in range(0, len(col), per_tile // nt):
+            cj = col[j:j + per_tile // nt]
+            for i in range(0, len(taus), nt):
+                ti = tau[i:i + nt]
+                remainder[i:i + nt, cj] = kernels._remainder_quadrature(
+                    lattice, ti + s[cj[0]], ti + t[cj[0]], 0, dx[cj],
+                    np.tile(np.arange(len(ti)), len(cj)),
+                    np.repeat(np.arange(len(cj)), len(ti)), tol
+                ).reshape(len(cj), len(ti)).T
+    lattice_vals = stationary + remainder
     gaps = np.abs(lattice_vals - stationary[None, :])
     return RelaxationReport(lattice, disp, taus, lattice_vals, stationary,
                             gaps)

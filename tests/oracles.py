@@ -22,7 +22,8 @@ It also holds small functions the package does not export, kept as
 references for the tests: single transition probabilities, the scalar
 Lagrange basis, signed Bessel values, the characteristic function,
 Esscher weights, the sinc basis, gauge transforms, the relaxation gap
-of a single cell and a CSV writer that formats one value at a time.
+of a single cell, the leading 1/tau term of the lattice remainder and a
+CSV writer that formats one value at a time.
 """
 
 from __future__ import annotations
@@ -346,6 +347,27 @@ def lattice_kernel_mpmath(lattice: LatticeSpec, s: float, x: int, t: float,
 
             total += w * mp.quad(f, [-mp.pi, 0, mp.pi]) / (2 * mp.pi * a)
         return float(total)
+
+
+def relaxation_law(lattice: LatticeSpec, s: float, x: int, t: float,
+                   y: int) -> float:
+    """Leading Watson term of the aliasing remainder at large s + t,
+
+        e^{(t-s)(1 - cos(pi/a))} * C / (pi*(s + t)*sin(pi/a)),
+
+    from the end lam = pi of the m = 1 remainder, where its damping
+    exponent vanishes with slope (s + t)*sin(pi/a)/a.  C = cos(pi*(2x +
+    dx)/a) for a >= 3, with dx = y - x; for a = 2 both ends lam = +-pi
+    contribute and C = cos(pi*x)*cos(pi*dx/2).  The next term is
+    O((s + t)^-2), so where C = 0 this term says nothing.
+    """
+    a, dx = lattice.a, y - x
+    if a == 2:
+        c = math.cos(math.pi * x) * math.cos(math.pi * dx / 2)
+    else:
+        c = math.cos(math.pi * (2 * x + dx) / a)
+    return (math.exp((t - s) * (1.0 - math.cos(math.pi / a))) * c
+            / (math.pi * (s + t) * math.sin(math.pi / a)))
 
 
 def lattice_kernel_site_sum(lattice: LatticeSpec, s: float, x: int, t: float,
