@@ -2,15 +2,17 @@
 
 The walk jumps at unit rate and steps +-1 with equal probability.  Its
 transition probability has a closed form in scaled modified Bessel
-functions, p(t, y|x) = e^{-t} I_{|y-x|}(t), which this demo pits against
-two independent evaluation routes: spectral quadrature over the circle
-and Poissonization of the discrete-time walk.
+functions, p(t, y|x) = e^{-t} I_{|y-x|}(t), which the package reads from
+one table and this demo pits against the two independent routes that
+``ncrw selftest`` checks it with: spectral quadrature over the circle and
+Poissonization of the discrete-time walk.
 """
 
 import math
 
-from ncrw import (scaled_bessel_i_all, transition_probability_poisson,
-                  transition_probability_quadrature, truncation_radius)
+from ncrw import scaled_bessel_i_all, truncation_radius
+from ncrw.selftest import (transition_probability_poisson,
+                           transition_probability_quadrature)
 
 print("p(t, y|x) = e^{-t} I_{|y-x|}(t)  [three routes]")
 print(f"{'t':>5} {'|y-x|':>5} {'bessel':>22} {'quadrature':>22} {'poisson':>22}")

@@ -10,8 +10,7 @@ cross-validates everything with two Monte Carlo estimators; and measures
 the relaxation of the lattice process to equilibrium.
 """
 
-from .bessel import (scaled_bessel_i_all, transition_probability_poisson,
-                     transition_probability_quadrature, truncation_radius)
+from .bessel import scaled_bessel_i_all, truncation_radius
 from .correlations import (MultiTimePointSet, correlation_function,
                            density_profile, fredholm_generating_function,
                            kernel_matrix)
@@ -31,8 +30,7 @@ __all__ = [
     "ConvergenceError",
     "MultiTimePointSet", "correlation_function", "density_profile",
     "fredholm_generating_function", "kernel_matrix",
-    "scaled_bessel_i_all", "transition_probability_poisson",
-    "transition_probability_quadrature", "truncation_radius",
+    "scaled_bessel_i_all", "truncation_radius",
     "KernelSpec", "StationarySpec", "lattice_kernel_remainder",
     "sine_kernel",
     "FiniteConfiguration", "LatticeSpec", "martingale_polynomial",

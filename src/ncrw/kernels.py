@@ -59,6 +59,7 @@ _ROUNDING_BUDGET = 1e-10
 # sweeps of the balancing iteration that judges refused matrices
 _BALANCE_SWEEPS = 100
 _EPS = float(np.finfo(float).eps)
+_FAR_ORDER = 1024  # Bessel tables are built whole up to this order
 
 
 def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -102,13 +103,25 @@ def _distinct(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
 def _bessel_rows(times: np.ndarray, orders: np.ndarray) -> np.ndarray:
     # p(t_i, .) at orders[i]: one scaled Bessel table per distinct time, up
-    # to the largest order of that time; a single time needs no mask
+    # to the largest order of that time; a single time needs no mask.  Past
+    # _FAR_ORDER a table stops at the first n = _FAR_ORDER * 2^k where the
+    # series bound e^{-t} (t/2)^n e^{t^2/(4(n+1))} / n! >= e^{-t} I_n(t) is
+    # below e^{-746} < 2^-1075: orders from n on (decreasing) round to 0.
     keys = set(times.tolist())
     out = np.empty(orders.shape)
     for t in keys:
         idx = times == t if len(keys) > 1 else slice(None)
         n = orders[idx]
-        out[idx] = scaled_bessel_i_all(int(n.max()), t)[n]
+        top, cut = int(n.max()), _FAR_ORDER
+        while cut < top and t and -746.0 <= (
+                cut * math.log(t / 2) - t + t * t / (4 * cut + 4)
+                - math.lgamma(cut + 1)):
+            cut *= 2
+        if cut < top:  # orders from cut on read as 0
+            out[idx] = np.append(scaled_bessel_i_all(cut - 1, t), 0.0)[
+                np.minimum(n, cut)]
+        else:
+            out[idx] = scaled_bessel_i_all(top, t)[n]
     return out
 
 
@@ -266,14 +279,14 @@ def lattice_kernel_remainder(lattice: LatticeSpec, s: float, x, t: float, y,
 
     The damping factor exp(s*(cos(theta/a) - cos(lam/a))) is < 1 inside
     the window, so the remainder vanishes as both times grow: this is the
-    entire distance from the lattice kernel to the stationary one.  ``x``
-    and ``y`` may be integer arrays of one shape: their entries share the
-    blocked quadrature of ``KernelSpec.values``.
+    entire distance from the lattice kernel to the stationary one.  The
+    arguments broadcast; their entries are checked (``ValueError``) and
+    share the blocked quadrature of ``KernelSpec.values``.
     """
     s, x, t, y = np.broadcast_arrays(s, x, t, y)
-    got = _lattice_sums(lattice, s.ravel().astype(float),
-                        x.ravel().astype(np.int64), t.ravel().astype(float),
-                        y.ravel().astype(np.int64), tol)
+    (sv, xv), (tv, yv) = (_split_points(np.c_[a.ravel(), b.ravel()])
+                          for a, b in ((s, x), (t, y)))
+    got = _lattice_sums(lattice, sv, xv, tv, yv, tol)
     return got.reshape(s.shape) if s.ndim else float(got[0])
 
 

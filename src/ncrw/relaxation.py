@@ -60,7 +60,11 @@ def relaxation_sweep(lattice: LatticeSpec,
         raise ValueError(f"tau grid must be strictly increasing, got {taus}")
     if not all(0 <= v < math.inf for v in taus):
         raise ValueError(f"tau grid must be finite and >= 0, got {taus}")
-    disp = tuple((float(dt), int(dx)) for dt, dx in displacements)
+    disp = []
+    for dt, dx in displacements:
+        if not float(dx).is_integer():
+            raise ValueError(f"space coordinate must be an integer, got {dx}")
+        disp.append((float(dt), int(dx)))
     dt, dx = np.array(disp).reshape(-1, 2).T
     if not np.isfinite(dt).all():
         raise ValueError("time coordinate must be finite and >= 0, got "
@@ -85,5 +89,5 @@ def relaxation_sweep(lattice: LatticeSpec,
                 ).reshape(len(cj), len(ti)).T
     lattice_vals = stationary + remainder
     gaps = np.abs(lattice_vals - stationary[None, :])
-    return RelaxationReport(lattice, disp, taus, lattice_vals, stationary,
-                            gaps)
+    return RelaxationReport(lattice, tuple(disp), taus, lattice_vals,
+                            stationary, gaps)

@@ -1,12 +1,13 @@
 """End-to-end numerical self-checks behind the ``selftest`` subcommand.
 
 Each check pins an identity of the model to a fixed tolerance and runtime
-budget: the three transition-probability routes, martingale and
-determinant identities, the projection property of equal-time kernels,
-gauge invariance of correlations, the finite-window limit to the lattice
-kernel, relaxation to the sine kernel, and the stationary-kernel
-rewrites.  The Monte Carlo comparisons live in the test suite instead
-(they take minutes, not seconds).
+budget: the Bessel table of the transition law against the two routes
+defined here as its checks, martingale and determinant identities, the
+projection property of equal-time kernels, gauge invariance of
+correlations, the finite-window limit to the lattice kernel, relaxation
+to the sine kernel, and the stationary-kernel rewrites.  The Monte Carlo
+comparisons live in the test suite instead (they take minutes, not
+seconds).
 
 The tau = 32 relaxation gap and its friends are regression fixtures:
 computed once from this code base, then frozen.
@@ -22,8 +23,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .bessel import (scaled_bessel_i_all, transition_probability_poisson,
-                     transition_probability_quadrature, truncation_radius)
+from .bessel import _check_order_time, scaled_bessel_i_all, truncation_radius
 from .correlations import kernel_matrix
 from .kernels import KernelSpec, LatticeSpec, StationarySpec, sine_kernel
 from .martingales import (FiniteConfiguration, martingale_polynomial,
@@ -57,6 +57,43 @@ def _finish(name: str, started: float, passed: bool, detail: str,
         passed = False
         detail += f"; runtime {elapsed:.2f}s over budget {budget:g}s"
     return CheckResult(name, passed, detail, elapsed)
+
+
+def transition_probability_quadrature(t: float, x: int, y: int) -> float:
+    """p(t, y|x) as (1/pi) int_0^pi cos(k(y-x)) e^{-(1-cos k)t} dk, whose
+    entire integrand ``gauss_legendre`` resolves to 1e-14."""
+    _check_order_time(0, t)
+    d = abs(int(y) - int(x))
+    return gauss_legendre(
+        lambda k: np.cos(d * k) * np.exp((np.cos(k) - 1.0) * t),
+        0.0, math.pi, tol=1e-14) / math.pi
+
+
+def transition_probability_poisson(t: float, x: int, y: int) -> float:
+    """p(t, y|x) = sum_j e^{-t} t^j / j! * C(j, (j+d)/2) / 2^j over j >= d =
+    |y - x|, j = d (mod 2): the discrete walk, Poissonized, with e^{-t}
+    t^j / j! kept as a mantissa and a power of two.  Within 1e-12 relative
+    for 0 <= t <= 5000 (2e-13 at t = 5000); ``ValueError`` beyond."""
+    _check_order_time(0, t)
+    if t > 5000:
+        raise ValueError(f"Poisson route covers t <= 5000, got {t}")
+    d = abs(int(y) - int(x))
+    # e^{-t} t^j / j! = weight * 2^-shift, with weight in [0.5, 1] or 0
+    shift = int(t / math.log(2))
+    weight = math.exp(shift * math.log(2) - t)
+    terms = []
+    j, binom = 0, 1  # binom = C(j, (j + d) // 2) from j = d on
+    while True:
+        if j >= d and (j - d) % 2 == 0:
+            if j > d:  # C(j, k) from C(j - 2, k - 1), k = (j + d) / 2
+                binom = binom * j * (j - 1) // ((j + d) // 2 * ((j - d) // 2))
+            terms.append(math.ldexp(weight * (binom / (1 << j)), -shift))
+        last = terms[-1] if terms else 0.0
+        if j > t and math.ldexp(weight, -shift) <= 1e-18 * last:
+            return math.fsum(terms)
+        j += 1
+        weight, e = math.frexp(weight * (t / j))
+        shift -= e
 
 
 def check_transition_triple() -> CheckResult:
@@ -213,19 +250,13 @@ def check_relaxation() -> CheckResult:
 
 
 def check_stationary_identities() -> CheckResult:
-    """Fourier rewrite of the transition law on [0, 1] against the Bessel
-    table; sine kernel consistency."""
+    """Fourier rewrite of the transition law against the Bessel table;
+    sine kernel consistency."""
     started = time.perf_counter()
-    worst_rewrite = 0.0
-    for t in (0.5, 1.0, 2.0):
-        for dx in (0, 1, 2, 5):
-            def integrand(u, dx=dx, t=t):
-                return np.cos(u * math.pi * dx) * \
-                    np.exp(-(1.0 - np.cos(u * math.pi)) * t)
-
-            rhs = gauss_legendre(integrand, 0.0, 1.0)
-            lhs = float(scaled_bessel_i_all(dx, t)[dx])
-            worst_rewrite = max(worst_rewrite, abs(lhs - rhs))
+    worst_rewrite = max(
+        abs(float(scaled_bessel_i_all(dx, t)[dx])
+            - transition_probability_quadrature(t, 0, dx))
+        for t in (0.5, 1.0, 2.0) for dx in (0, 1, 2, 5))
     ns = range(-10, 11)
     exact = all(
         KernelSpec(StationarySpec(rho)).values(

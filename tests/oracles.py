@@ -16,8 +16,9 @@ scan by one three-key lexsort, and Gauss-Legendre refinement with one
 integrand call per level.  The site-martingale Taylor rows are also
 kept in their (y, k, power) layout, built on strided power slices.  The
 dmr weight is kept as the determinant of site-martingale rows at the
-final sites, and Monte Carlo means and ESS as exact rationals over the
-package's own sampled blocks.
+final sites, Monte Carlo means and ESS as exact rationals over the
+package's own sampled blocks, and the martingale polynomials in exact
+rationals from the exponential's Taylor recurrence.
 It also holds small functions the package does not export, kept as
 references for the tests: single transition probabilities, the scalar
 Lagrange basis, signed Bessel values, the characteristic function,
@@ -125,7 +126,7 @@ def poissonized_walk_probability(t: float, d: int, *, eps: float = 1e-20) -> flo
 
 
 def poisson_route_comb(t: float, d: int) -> float:
-    """``bessel.transition_probability_poisson(t, 0, d)`` with every
+    """``selftest.transition_probability_poisson(t, 0, d)`` with every
     binomial built afresh by ``math.comb``: the same terms, the same
     rounding, so the same float."""
     d = abs(d)
@@ -184,6 +185,21 @@ def esscher_weight(alpha: float, t: float, x: int) -> float:
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     return math.exp(alpha * x - t * (math.cosh(alpha) - 1.0))
+
+
+def martingale_polynomial_exact(n: int, t: float, x: float) -> Fraction:
+    """m_n(t, x) = sum_j n!/j! b_{n-j}(t) x^j in exact rationals, with b_m
+    the Taylor coefficients of f(a) = exp(g(a)), g(a) = -t*(cosh a - 1),
+    from m f_m = sum_i i g_i f_{m-i} (not the package's integer tables)."""
+    t, x = Fraction(t), Fraction(x)
+    g = [Fraction(0)] + [-t / math.factorial(i) if i % 2 == 0 else Fraction(0)
+                         for i in range(1, n + 1)]
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(sum((i * g[i] * b[m - i] for i in range(2, m + 1, 2)),
+                     Fraction(0)) / m)
+    return sum(Fraction(math.factorial(n), math.factorial(j))
+               * b[n - j] * x ** j for j in range(n + 1))
 
 
 def lattice_basis(lattice: LatticeSpec, k: int, z: float) -> float:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ncrw import quadrature
-from ncrw.bessel import (scaled_bessel_i_all, transition_probability_poisson,
-                         transition_probability_quadrature,
-                         truncation_radius)
+from ncrw.bessel import scaled_bessel_i_all, truncation_radius
+from ncrw.selftest import (transition_probability_poisson,
+                           transition_probability_quadrature)
 
 from ncrw.errors import ConvergenceError
 

@@ -130,6 +130,29 @@ class TestKernelCommand:
                                  "--dx", "1"], capsys)
         assert code == 2 and "--dt and --dx" in err
 
+    @pytest.mark.parametrize("x", [10 ** 6, 10 ** 9])
+    def test_far_site_answers_zero_at_once(self, x):
+        # p(2, x|0) rounds to 0 from order 178 on, so no table is built out
+        # to x: 10^6 took 0.38 s and 70 MB more peak memory, and 10^9 would
+        # take minutes and tens of GB, so the child's address space is capped
+        env = {**os.environ, "PYTHONPATH": str(SCHEMA_DIR.parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        code = ("import contextlib, io, resource as r, sys, time\n"
+                "r.setrlimit(r.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from ncrw.cli import main\n"
+                "rss = r.getrusage(r.RUSAGE_SELF).ru_maxrss\n"
+                "start, out = time.perf_counter(), io.StringIO()\n"
+                "with contextlib.redirect_stdout(out):\n"
+                "    rc = main(sys.argv[1:])\n"
+                "seconds = time.perf_counter() - start\n"
+                "rss = r.getrusage(r.RUSAGE_SELF).ru_maxrss - rss\n"
+                "print(rc, float(out.getvalue()), seconds < 1, rss < 10240)\n")
+        argv = ["kernel", "--spec", "finite:0", "--point", f"2,{x}",
+                "--point", "1,0"]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout == "0 0.0 True True\n", done.stderr
+
     def test_lattice_pair_beyond_domain_exits_1(self, capsys):
         # |y - x| = 1240 on 2Z: beyond 2048 quadrature nodes
         code, out = run_cli(["kernel", "--spec", "lattice:2",

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncrw import kernels
-from ncrw.bessel import truncation_radius
+from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.correlations import (MultiTimePointSet, correlation_function,
                                density_profile, kernel_matrix)
 from ncrw.errors import ConvergenceError
@@ -112,6 +112,25 @@ class TestKernelFinite:
                     oracle += itilde(abs(x - uj), s) * m_val
                 got = kernel_value(c, (s, x), (t, y))
                 assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 40.0, 700.0])
+    def test_far_site_reads_zero_from_a_short_table(self, monkeypatch, t):
+        # with a site 10^5 away the tables stop at the first order proven to
+        # round to 0; the near entries keep the values of whole tables
+        spec = KernelSpec(FiniteConfiguration((0, 3)))
+        ps = [(t, x) for x in (-2, 0, 1, 5, 30, 100_000)]
+        qs = [(t / 2, y) for y in (0, 1, 3, 4, 2, 0)]  # s > t: back terms
+        calls = []
+        monkeypatch.setattr(kernels, "scaled_bessel_i_all",
+                            lambda n, tv: calls.append(n) or
+                            scaled_bessel_i_all(n, tv))
+        got = spec.values(ps, qs)
+        assert max(calls) < 2048
+        monkeypatch.setattr(kernels, "_FAR_ORDER", 1 << 20)
+        whole = spec.values(ps, qs)
+        assert max(calls) == 100_000
+        assert got[-1] == whole[-1] == 0.0
+        assert got[:-1] == pytest.approx(whole[:-1], rel=1e-15, abs=0)
 
     def test_rejects_bad_gauge_and_points(self):
         c = FiniteConfiguration((0, 2))

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from ncrw.montecarlo import vandermonde_ratio
 from oracles import (backward_transform, backward_transform_exp,
                      basis_taylor_rows_yk, esscher_weight, lagrange_basis,
                      lattice_basis, lattice_martingale_batch,
-                     ring_site_martingale_row, site_martingale_row_loop,
-                     site_martingale_rows_yk)
+                     martingale_polynomial_exact, ring_site_martingale_row,
+                     site_martingale_row_loop, site_martingale_rows_yk)
 
 
 def transition_weights(t, center, radius):
@@ -119,6 +120,31 @@ class TestMartingalePolynomials:
         assert martingale_polynomial(13, 0.0, 2.0) == 2.0 ** 13
         with pytest.raises(ValueError):
             martingale_polynomial(-1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [40, 60, 100, 150, 200])
+    def test_high_degree_against_exact_rationals(self, n, t):
+        # only the Horner sum in x rounds; a Horner sum in t of the integer
+        # tables lost 1.7e-10 at n = 60 and all digits by n = 200
+        for x in (-3.0, 0.0, 1.0, 2.5, 7.0):
+            exact = martingale_polynomial_exact(n, t, x)
+            got = martingale_polynomial(n, t, x)
+            assert abs(float((Fraction(got) - exact) / exact)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [244, 250])
+    def test_overflow_refused(self, n):
+        # m! * b_m(0.5) leaves the double range at m = 246; at n = 244 the
+        # weights are finite but C(n, j) times them is not (an inf - inf
+        # gave nan)
+        assert math.isfinite(martingale_polynomial(240, 0.5, 1.0))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            martingale_polynomial(n, 0.5, 1.0)
+
+    @pytest.mark.parametrize("t,x", [(math.nan, 1.0), (math.inf, 1.0),
+                                     (-math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_argument_refused(self, t, x):
+        with pytest.raises(ValueError, match="finite time and site"):
+            martingale_polynomial(3, t, x)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_semigroup_inverts_polynomials(self, t):

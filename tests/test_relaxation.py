@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,34 @@ class TestRelaxationSweep:
         monkeypatch.setattr(kernels, "_remainder_quadrature", unreachable)
         with pytest.raises(ValueError, match="time coordinate must be finite"):
             relaxation_sweep(LAT2, [(0.5, 0), (dt, 1)], [1.0])
+
+    @pytest.mark.parametrize("dx", [1.5, -0.25, math.nan, math.inf])
+    def test_non_integral_dx_refused(self, monkeypatch, dx):
+        # 1.5 was truncated to the dx = 1 row and reported as (0.0, 1)
+        def unreachable(*args, **kw):
+            raise AssertionError("no band integral for a refused sweep")
+
+        monkeypatch.setattr(kernels, "_stationary_bands", unreachable)
+        monkeypatch.setattr(kernels, "_remainder_quadrature", unreachable)
+        with pytest.raises(ValueError, match=f"must be an integer, got {dx}"):
+            relaxation_sweep(LAT2, [(0.0, 0), (0.0, dx)], (1.0,))
+
+    @pytest.mark.parametrize("s,x,t,y,what", [
+        (1.0, 0.5, 1.0, 2, "space coordinate must be an integer, got 0.5"),
+        (1.0, 0, 1.0, [2, 2.5], "must be an integer, got 2.5"),
+        (-1.0, 0, 1.0, 2, "time coordinate must be finite and >= 0, got -1.0"),
+        (math.inf, 0, 1.0, 2, "finite and >= 0, got inf"),
+        (math.nan, 0, 1.0, 2, "finite and >= 0, got nan"),
+        (1.0, 0, [1.0, -2.0], 2, "finite and >= 0, got -2.0")])
+    def test_remainder_refuses_bad_points(self, monkeypatch, s, x, t, y, what):
+        # x = 0.5 answered the x = 0 value, s = -1 and s = inf answered
+        # 2.2e-17 and 0.0, and s = nan ran the full 2048-node scan
+        def unreachable(*args, **kw):
+            raise AssertionError("no quadrature for refused points")
+
+        monkeypatch.setattr(kernels, "_remainder_quadrature", unreachable)
+        with pytest.raises(ValueError, match=re.escape(what)):
+            lattice_kernel_remainder(LAT2, s, x, t, y)
 
     @pytest.mark.parametrize("a,dt", [(2, 0.5), (5, -1.0), (6, 0.0)])
     def test_lattice_values_are_stationary_plus_remainder(self, a, dt):
