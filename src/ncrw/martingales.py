@@ -11,10 +11,12 @@ basis polynomials have degree N - 1, so the operator series stops after
 N terms and is evaluated exactly as a finite sum, together with the sum of
 its absolute terms, from which callers bound the cancellation.  One call
 gives the rows of every site at a whole batch of final positions y, built
-on (Y, N, N) arrays in blocks of bounded size.  The series weights are
-integer polynomials in t, evaluated exactly and rounded once, for the rows
-and for ``martingale_polynomial``; where one leaves the double range
-(N >= 247 sites, degree 246, at t = 0.5) both are refused.
+on (Y, N, N) arrays in blocks of bounded size.  The series weights
+m! b_m(t) follow from one recurrence in exact integers (a float t is
+p / 2^s exactly) and are each rounded once, for the rows and for
+``martingale_polynomial``; where one leaves the double range (N >= 247
+sites, degree 246, at t = 0.5) both are refused.  At t = 0 the rows are
+the basis itself, for any N.
 The infinite equidistant lattice a*Z (``LatticeSpec``) needs no site
 martingales here: ``kernels`` folds its site sum into momentum integrals.
 """
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -86,40 +87,25 @@ class LatticeSpec:
         return 1.0 / self.a
 
 
-@lru_cache(maxsize=None)
-def _series_polynomial(m: int) -> tuple[int, ...]:
-    # m! * b_m(t) as integer coefficients indexed by the power of t, where
-    # b_m(t) are the Taylor coefficients of exp(-t*(cosh a - 1)) in a.
-    # Differentiating the exponential gives the recurrence
-    # m! b_m = -t * sum_{k even >= 2} C(m-1, k-1) (m-k)! b_{m-k}, so every
-    # coefficient is an integer (zero at odd m).
-    if m == 0:
-        return (1,)
-    acc = [0] * (m // 2 + 1)
-    for k in range(2, m + 1, 2):
-        w = math.comb(m - 1, k - 1)
-        for p, c in enumerate(_series_polynomial(m - k)):
-            acc[p + 1] -= w * c
-    while len(acc) > 1 and not acc[-1]:
-        acc.pop()
-    return tuple(acc)
-
-
 def martingale_polynomial(n: int, t: float, x: float) -> float:
     """m_n(t, x); monic in x, m_n(0, x) = x^n, martingale along the walk.
 
     Its x^j coefficient is n!/j! b_{n-j}(t) = C(n, j) (n-j)! b_{n-j}(t),
     from the site rows' exact weights, so only the Horner sum in x rounds
     (1.3e-12 relative up to n = 200 for t <= 2, |x| <= 7).
-    ``ConvergenceError`` once a weight or the value overflows double
-    precision (from n = 244 at t = 0.5, x = 1)."""
+    ``ConvergenceError`` once a weight, a term or the value overflows
+    double precision (from n = 244 at t = 0.5, x = 1)."""
     if n < 0 or not (math.isfinite(t) and math.isfinite(x)):
         raise ValueError("need a degree >= 0 and a finite time and site, "
                          f"got n={n}, t={t}, x={x}")
     weights = _series_weights(n + 1, float(t)).tolist()
     total = 0.0
-    for j in range(n, -1, -1):  # Horner in x
-        total = total * x + math.comb(n, j) * weights[n - j]
+    try:
+        for j in range(n, -1, -1):  # Horner in x; a zero weight adds 0.0
+            w = weights[n - j]
+            total = total * x + (math.comb(n, j) * w if w else 0.0)
+    except OverflowError:  # C(n, j) past the double range
+        total = math.inf
     if not math.isfinite(total):
         raise ConvergenceError("martingale_polynomial", f"m_{n}(t={t:g}, "
                                f"x={x:g}) overflows double precision")
@@ -137,17 +123,22 @@ _ROW_BLOCK_FLOATS = 1 << 13
 
 @lru_cache(maxsize=512)
 def _series_weights(n_sites: int, t: float) -> np.ndarray:
-    # m! * b_m(t) for m < n_sites (zero at odd m): the weights of
-    # Phi^{(m)}(y) / m! in the heat-operator series, each evaluated exactly
-    # in rationals and rounded once.
-    tf = Fraction(t)
+    # w_m = m! * b_m(t) for m < n_sites (zero at odd m): the weights of
+    # Phi^{(m)}(y) / m! in the heat-operator series.  F' = -t sinh(a) F for
+    # F(a) = exp(-t(cosh a - 1)) gives w_{m+1} = -t sum_{k odd <= m}
+    # C(m, k) w_{m-k}; with t = p / 2^s exactly, W_m = 2^(s m) w_m are
+    # integers, W_{m+1} = -p sum C(m, k) W_{m-k} 2^(s k), and each weight
+    # is W_m / 2^(s m), rounded once.
+    p, q = t.as_integer_ratio()
+    s = q.bit_length() - 1
+    big = [1]                                      # W_m at even m, by m // 2
     out = np.zeros(n_sites)
     for m in range(0, n_sites, 2):
-        acc = Fraction(0)
-        for c in reversed(_series_polynomial(m)):  # Horner in t
-            acc = acc * tf + c
+        if m:  # (1, 0, 0, ...) at t = 0, where the sum is all waste
+            big.append(-p * sum(math.comb(m - 1, k) * big[(m - 1 - k) // 2]
+                                << s * k for k in range(1, m, 2)) if p else 0)
         try:
-            out[m] = float(acc)
+            out[m] = big[-1] / q ** m
         except OverflowError:
             raise ConvergenceError(
                 "series weights",
@@ -157,9 +148,10 @@ def _series_weights(n_sites: int, t: float) -> np.ndarray:
     return out
 
 
-def _basis_taylor_rows(config: FiniteConfiguration,
-                       ys: np.ndarray) -> np.ndarray:
-    # Entry [p, i, k] holds the coefficient of h^p in Phi^{u_k}(ys[i] + h):
+def _basis_taylor_rows(config: FiniteConfiguration, ys: np.ndarray,
+                       powers: int | None = None) -> np.ndarray:
+    # Entry [p, i, k] holds the coefficient of h^p (p < powers, all N by
+    # default) in Phi^{u_k}(ys[i] + h):
     # the product over j != k of (y - u_j + h) / (u_k - u_j), built one
     # factor j at a time for every y and k at once.  The layout is
     # power-major, (power, y, k), so each factor step multiplies and adds
@@ -173,11 +165,11 @@ def _basis_taylor_rows(config: FiniteConfiguration,
     inv = 1.0 / gaps
     ratio = (ys[None, :, None] - u[:, None, None]) / gaps[:, None, :]
     ratio[np.arange(n), :, np.arange(n)] = 1.0     # [j, i, k], 1 at j = k
-    coef = np.zeros((n, len(ys), n))
+    coef = np.zeros((powers or n, len(ys), n))
     coef[0] = 1.0
     for j in range(n):
         # before factor j only powers 0..j are nonzero
-        top = min(j + 2, n)
+        top = min(j + 2, len(coef))
         shifted = coef[:top - 1] * inv[j]
         coef[:top] *= ratio[j]
         coef[1:top] += shifted
@@ -224,12 +216,15 @@ def _site_rows(config: FiniteConfiguration, t: float,
                ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # site_martingale_rows on a checked time and int64 ys
     n = len(config)
-    weights = _series_weights(n, t)
+    # at t = 0 the series is its first term, the basis itself, so the
+    # higher Taylor coefficients (which overflow on wide configurations)
+    # are never built
+    weights = _series_weights(n, t) if t else np.ones(1)
     rows = np.empty((len(ys), n))
     spreads = np.empty((len(ys), n))
     block = max(1, _ROW_BLOCK_FLOATS // (n * n))
     for lo in range(0, len(ys), block):
-        coef = _basis_taylor_rows(config, ys[lo:lo + block])
+        coef = _basis_taylor_rows(config, ys[lo:lo + block], len(weights))
         # weighted into (y, k, power) order: each sum over powers runs along
         # a contiguous last axis, so its rounding is the same for any layout
         terms = np.empty(coef.shape[1:] + coef.shape[:1])

@@ -59,7 +59,8 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
     first level it passes at, so the rounding noise of the levels that other
     components need cannot fail it.  Levels 32 and 64 are one call of ``f``.
     Returns a float for scalar integrands, an ndarray otherwise; raises
-    ``ValueError`` unless a < b.
+    ``ValueError`` unless a < b, and ``ConvergenceError`` once a column that
+    has not passed is not finite.
 
     Refinement runs from 32 to at most 2048 nodes.  Tolerances are floored
     just above the doubling noise floor, and the node count is capped:
@@ -90,6 +91,9 @@ def gauss_legendre(f, a: float, b: float, *, tol: float = 1e-13):
         done |= passed
         if done.all():
             return out if out.ndim else out.item()
+        if not np.isfinite(cur[~done]).all():  # no level will pass it
+            raise ConvergenceError("gauss_legendre", f"integrand overflows "
+                                   f"double precision at {n} nodes")
         if 2 * n > _GAUSS_MAX_NODES:
             raise ConvergenceError("gauss_legendre", f"no convergence to "
                                    f"{tol:g} within {_GAUSS_MAX_NODES} nodes")

@@ -17,8 +17,9 @@ integrand call per level.  The site-martingale Taylor rows are also
 kept in their (y, k, power) layout, built on strided power slices.  The
 dmr weight is kept as the determinant of site-martingale rows at the
 final sites, Monte Carlo means and ESS as exact rationals over the
-package's own sampled blocks, and the martingale polynomials in exact
-rationals from the exponential's Taylor recurrence.
+package's own sampled blocks, the martingale polynomials in exact
+rationals from the exponential's Taylor recurrence, and the heat-operator
+series weights from integer polynomial tables in t by an exact Horner sum.
 It also holds small functions the package does not export, kept as
 references for the tests: single transition probabilities, the scalar
 Lagrange basis, signed Bessel values, the characteristic function,
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -187,10 +189,49 @@ def esscher_weight(alpha: float, t: float, x: int) -> float:
     return math.exp(alpha * x - t * (math.cosh(alpha) - 1.0))
 
 
+@lru_cache(maxsize=None)
+def series_polynomial(m: int) -> tuple[int, ...]:
+    """m! * b_m(t) as integer coefficients indexed by the power of t, where
+    b_m(t) are the Taylor coefficients of exp(-t*(cosh a - 1)) in a, from
+    m! b_m = -t * sum_{k even >= 2} C(m-1, k-1) (m-k)! b_{m-k}: every
+    coefficient is an integer (zero at odd m).  Polynomials in t, built
+    apart from the package's recurrence on the weights' values."""
+    if m == 0:
+        return (1,)
+    acc = [0] * (m // 2 + 1)
+    for k in range(2, m + 1, 2):
+        w = math.comb(m - 1, k - 1)
+        for p, c in enumerate(series_polynomial(m - k)):
+            acc[p + 1] -= w * c
+    while len(acc) > 1 and not acc[-1]:
+        acc.pop()
+    return tuple(acc)
+
+
+def series_weights_horner(n_sites: int, t: float) -> np.ndarray:
+    """m! * b_m(t) for m < n_sites: each ``series_polynomial`` summed by
+    Horner in t in exact rationals and rounded once; ``ConvergenceError``
+    at the first weight past the double range."""
+    tf = Fraction(t)
+    out = np.zeros(n_sites)
+    for m in range(0, n_sites, 2):
+        acc = Fraction(0)
+        for c in reversed(series_polynomial(m)):
+            acc = acc * tf + c
+        try:
+            out[m] = float(acc)
+        except OverflowError:
+            raise ConvergenceError(
+                "series weights",
+                f"m!*b_m(t) at m={m} overflows double precision at t={t:g} "
+                f"(degree {n_sites - 1}, N={n_sites} sites)") from None
+    return out
+
+
 def martingale_polynomial_exact(n: int, t: float, x: float) -> Fraction:
     """m_n(t, x) = sum_j n!/j! b_{n-j}(t) x^j in exact rationals, with b_m
     the Taylor coefficients of f(a) = exp(g(a)), g(a) = -t*(cosh a - 1),
-    from m f_m = sum_i i g_i f_{m-i} (not the package's integer tables)."""
+    from m f_m = sum_i i g_i f_{m-i} (not the package's recurrence)."""
     t, x = Fraction(t), Fraction(x)
     g = [Fraction(0)] + [-t / math.factorial(i) if i % 2 == 0 else Fraction(0)
                          for i in range(1, n + 1)]

@@ -163,6 +163,25 @@ class TestKernelCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--spec", "stationary:0.5", "--dt", "720", "--dx", "1"],
+        ["kernel", "--spec", "lattice:2", "--point", "0,0",
+         "--point", "800,1"],
+        ["relaxation", "--a", "2", "--tau", "1", "--dx-max", "0",
+         "--dt", "800"],
+    ])
+    def test_overflowing_integrand_exits_1(self, argv, capsys):
+        # the integrand is already inf at 64 nodes: refused with that
+        # reason, not after refining to 2048 nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "numerical convergence failure" in err and "overflows" in err
+        assert "Traceback" not in err
+
+
 class TestDensityCommand:
     def test_initial_indicator_csv(self):
         code, out = run_cli(["density", "--spec", "finite:0,2",

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import os
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,13 +15,14 @@ from ncrw.bessel import scaled_bessel_i_all, truncation_radius
 from ncrw.errors import ConvergenceError
 from ncrw.martingales import (_ROW_BLOCK_FLOATS, FiniteConfiguration,
                               LatticeSpec, _basis_taylor_rows,
-                              _series_polynomial, _series_weights,
-                              martingale_polynomial, site_martingale_rows)
+                              _series_weights, martingale_polynomial,
+                              site_martingale_rows)
 from ncrw.montecarlo import vandermonde_ratio
 from oracles import (backward_transform, backward_transform_exp,
                      basis_taylor_rows_yk, esscher_weight, lagrange_basis,
                      lattice_basis, lattice_martingale_batch,
                      martingale_polynomial_exact, ring_site_martingale_row,
+                     series_polynomial, series_weights_horner,
                      site_martingale_row_loop, site_martingale_rows_yk)
 
 
@@ -110,11 +112,21 @@ class TestMartingalePolynomials:
         assert martingale_polynomial(4, 1.0, 0.0) == pytest.approx(2.0)
 
     def test_initial_condition_monic(self):
-        # the coefficient of x^j is C(n, j) times _series_polynomial(n - j)
-        assert _series_polynomial(0) == (1,)  # monic, no t dependence
+        # the coefficient of x^j is C(n, j) times series_polynomial(n - j)
+        assert series_polynomial(0) == (1,)  # monic, no t dependence
         for m in range(1, 13):
-            assert _series_polynomial(m)[0] == 0  # vanishes at t = 0
+            assert series_polynomial(m)[0] == 0  # vanishes at t = 0
         assert martingale_polynomial(5, 0.0, 1.5) == 1.5 ** 5
+
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    def test_wide_degree_at_time_zero(self, x):
+        # m_1100(0, x) = x^1100: the zero weights add nothing, so no
+        # C(1100, 550) * 0.0 leaves the double range on the way
+        assert martingale_polynomial(1100, 0.0, x) == 1.0
+
+    def test_wide_degree_overflow_refused(self):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            martingale_polynomial(1100, 0.0, 2.0)
 
     def test_degree_guard(self):
         assert martingale_polynomial(13, 0.0, 2.0) == 2.0 ** 13
@@ -446,6 +458,22 @@ class TestSiteMartingaleBatch:
             assert np.all(weights[1::2] == 0.0)
             np.testing.assert_allclose(weights[::2], want[::2], rtol=1e-15)
 
+    @pytest.mark.parametrize("t", [0.0, 0.1, 0.25, 1 / 3, 0.5, 3.75, 14.0,
+                                   22.0])
+    def test_series_weights_match_exact_horner(self, t):
+        # the integer recurrence against the integer tables in t, each
+        # exact and rounded once: the same bits, or the same refusal at the
+        # same m
+        for n in (1, 2, 31, 120, 246):
+            try:
+                want = series_weights_horner(n, t)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as got:
+                    _series_weights(n, t)
+                assert str(got.value) == str(exc)
+            else:
+                assert _series_weights(n, t).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("t", [0.0, 0.25, 3.75, 14.0])
     def test_series_weights_are_prefixes(self, t):
         # each weight is evaluated on its own: N sites take the first N
@@ -498,6 +526,17 @@ class TestSiteMartingaleBatch:
         c = FiniteConfiguration(tuple(range(247)))
         assert site_martingale_rows(c, 0.0, [5])[0][0].tolist() == [
             float(k == 5) for k in range(247)]
+
+    def test_wide_configuration_at_time_zero(self):
+        # 1101 sites at t = 0: the rows are the basis itself, with no
+        # tables in t and no higher Taylor coefficients (which overflow
+        # here) on the way
+        c = FiniteConfiguration(tuple(range(1101)))
+        start = time.perf_counter()
+        rows, spreads = site_martingale_rows(c, 0.0, [5, 600])
+        assert time.perf_counter() - start < 5.0
+        assert rows.tolist() == np.eye(1101)[[5, 600]].tolist()
+        assert spreads.tolist() == rows.tolist()
 
 
 class TestLatticeBasis:

@@ -153,3 +153,24 @@ class TestFrozenColumns:
             assume(False)
         for got, want in zip(values(cols).tolist(), alone):
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestOverflowingIntegrand:
+    def test_refused_after_the_first_call(self):
+        # exp(800 x) is inf near x = 1 on the 32 and 64 nodes alike: no
+        # level can pass it, so the refusal names the overflow at once
+        # instead of refining to 2048 nodes
+        f, calls = counted(lambda x: np.exp(800.0 * x))
+        with np.errstate(all="ignore"), \
+                pytest.raises(ConvergenceError, match="overflows"):
+            quadrature.gauss_legendre(f, 0.0, 1.0)
+        assert calls == [96]
+
+    def test_refused_beside_a_passed_column(self):
+        # column 0 passes at 64 nodes; column 1 still overflows there
+        f, calls = counted(lambda x: np.stack(
+            [np.ones_like(x), np.exp(800.0 * x)], axis=1))
+        with np.errstate(all="ignore"), \
+                pytest.raises(ConvergenceError, match="64 nodes"):
+            quadrature.gauss_legendre(f, 0.0, 1.0)
+        assert calls == [96]
